@@ -14,7 +14,7 @@
 // schedules through the JSON-RPC front door over real loopback sockets:
 // client threads pace POST phook_score frames against serve::RpcFrontend,
 // and the "network" JSON object attributes each request's journey across
-// connect (client) / parse + dispatch + handle (net layer) / queue +
+// connect (client) / parse + handle (net layer) / queue +
 // extract + predict (engine), alongside client-observed RTT, RPS and the
 // shed ratio.
 #include <arpa/inet.h>
@@ -286,10 +286,7 @@ NetworkResult run_network_scenario(const std::string& name,
   engine_config.max_queue = 256;
   serve::ScoringEngine engine(live.explorer(), detector, engine_config);
 
-  net::RpcConfig rpc_config;
-  rpc_config.dispatchers = 4;
-  rpc_config.queue_capacity = 512;
-  serve::RpcFrontend frontend(engine, rpc_config);
+  serve::RpcFrontend frontend(engine);
   frontend.start(0);  // ephemeral loopback port
   const std::uint16_t port = frontend.port();
 
@@ -347,6 +344,9 @@ NetworkResult run_network_scenario(const std::string& name,
   const double elapsed_s = std::chrono::duration<double>(
                                std::chrono::steady_clock::now() - epoch)
                                .count();
+  // Every frame in flight has replied once stop() returns, so the net
+  // stage counts below are final.
+  frontend.stop();
 
   NetworkResult result;
   result.scenario = name;
@@ -385,17 +385,12 @@ NetworkResult run_network_scenario(const std::string& name,
       net_registry.histogram("net_stage_service_us",
                              obs::label("stage", "parse"))));
   result.stages.push_back(stage_row(
-      "dispatch", "wait",
-      net_registry.histogram("net_stage_wait_us",
-                             obs::label("stage", "dispatch"))));
-  result.stages.push_back(stage_row(
       "handle", "service",
       net_registry.histogram("net_stage_service_us",
                              obs::label("stage", "handle"))));
   result.stages.push_back(stage_row("queue", "wait", sm.stage_queue_wait));
   result.stages.push_back(stage_row("extract", "service", sm.stage_extract));
   result.stages.push_back(stage_row("predict", "service", sm.stage_predict));
-  frontend.stop();
   return result;
 }
 

@@ -25,9 +25,9 @@
 # trajectory, the telemetry surface, and the fault-isolation contract all
 # stay machine-checked across PRs. The ASan leg runs the full suite, including
 # the fast-vs-legacy equivalence tests (test_features_fast). The TSan leg
-# adds test_stream, racing the four streaming pipeline threads against the
-# engine workers, and test_net, hammering the event loop + dispatcher pool
-# with concurrent clients.
+# adds test_stream, racing the three streaming pipeline threads against the
+# engine workers' completions, and test_net, hammering the event loop with
+# concurrent clients and racing RpcFrontend::stop() against a completion.
 #
 #   ./ci.sh            # all three variants
 #
@@ -234,8 +234,8 @@ for required in ("steady", "mempool_burst"):
     assert required in scenarios, f"missing scenario {required}"
 # Network path: LoadGenerator-driven traffic over real loopback sockets
 # through the JSON-RPC front door, with latency attributed across the
-# client (connect/rtt), the net layer (parse/dispatch/handle) and the
-# engine (queue/extract/predict).
+# client (connect/rtt), the net layer (parse/handle) and the engine
+# (queue/extract/predict).
 net = doc["network"]
 for key in ("scenario", "requests", "ok", "shed", "transport_errors",
             "rps", "shed_rate"):
@@ -247,7 +247,7 @@ assert net["transport_errors"] == 0, (
 assert math.isfinite(net["rps"]) and net["rps"] > 0, "bad network rps"
 net_stages = {s["stage"]: s for s in net["stages"]}
 for stage, kind in (("connect", "service"), ("rtt", "service"),
-                    ("parse", "service"), ("dispatch", "wait"),
+                    ("parse", "service"),
                     ("handle", "service"), ("queue", "wait"),
                     ("extract", "service"), ("predict", "service")):
     assert stage in net_stages, f"missing network stage row {stage}"
@@ -256,6 +256,11 @@ for stage, kind in (("connect", "service"), ("rtt", "service"),
     for key in ("count", "mean_us", "p50_us", "p95_us", "p99_us", "max_us"):
         assert math.isfinite(s[key]), f"network stage {stage} bad {key}"
 assert net_stages["parse"]["count"] > 0, "no frames parsed on the socket path"
+# Every parsed frame got exactly one answer: the handle stage closes when a
+# frame's last reply lands, once per frame.
+assert net_stages["handle"]["count"] == net_stages["parse"]["count"], (
+    f"{net_stages['parse']['count']} frames parsed but "
+    f"{net_stages['handle']['count']} answered")
 assert net_stages["queue"]["count"] > 0, "socket traffic never hit the engine"
 print(f"BENCH_stream.json ok: {len(rows)} scenarios, "
       + ", ".join(f"{r['scenario']}={r['sustained_rows_per_s']:.0f} rows/s"
@@ -551,12 +556,20 @@ assert isinstance(doc.get("registries"), list) and doc["registries"], \
 health = json.load(open(sys.argv[3]))
 assert health.get("status") in ("running", "draining", "drained"), \
     f"unexpected health status {health.get('status')!r}"
-for key in ("submitted", "completed", "failed", "shed", "queues"):
+for key in ("submitted", "completed", "failed", "shed", "queues",
+            "in_flight"):
     assert key in health, f"/healthz missing {key}"
-for queue in ("addresses", "futures"):
-    for key in ("size", "capacity", "closed"):
-        assert key in health["queues"][queue], \
-            f"/healthz queue {queue} missing {key}"
+for key in ("size", "capacity", "closed"):
+    assert key in health["queues"]["addresses"], \
+        f"/healthz queue addresses missing {key}"
+in_flight = health["in_flight"]
+for key in ("size", "capacity"):
+    assert key in in_flight, f"/healthz in_flight missing {key}"
+assert 0 <= in_flight["size"] <= in_flight["capacity"], \
+    f"/healthz in_flight out of range: {in_flight!r}"
+if health["status"] == "drained":
+    assert in_flight["size"] == 0, \
+        f"/healthz drained with {in_flight['size']} completions owed"
 print(f"scrape smoke ok: {samples} exposition samples, "
       f"health status {health['status']!r}")
 PY
@@ -660,7 +673,7 @@ assert cascade["stages"][0]["rows"] >= 1, f"stage 0 never scored: {cascade!r}"
 text = open(sys.argv[3]).read()
 for required in ("net_requests_total", "net_responses_total",
                  "net_connections_active", "net_batch_calls_total",
-                 "net_stage_service_us", "net_stage_wait_us",
+                 "net_stage_service_us", "net_frames_in_flight",
                  "net_request_total_us"):
     assert required in text, f"missing net metric {required} in /metrics"
 print(f"rpc smoke ok: scored {addr} "
@@ -698,8 +711,8 @@ check_prometheus build-ci-release/BENCH_serve_metrics.prom
   PHISHINGHOOK_TRACE=scanner_trace.json ./examples/contract_scanner)
 check_trace build-ci-release/scanner_trace.json
 # Chaos smoke: the scanner against a 10% fault-injecting explorer must exit
-# 0 (no aborted workers, no lost futures) and report per-status counts that
-# account for every submission.
+# 0 (no aborted workers, no lost completions) and report per-status counts
+# that account for every submission.
 (cd build-ci-release && ./examples/contract_scanner --chaos 0.10 \
   | tee chaos_smoke.out >/dev/null)
 check_chaos_smoke build-ci-release/chaos_smoke.out
@@ -713,7 +726,7 @@ run_variant asan address
 # chaos/fault-injection suite, the cascade suite (worker-count determinism
 # and degraded-path accounting), the thread-pool unit tests, the pool-backed
 # training determinism suite, the telemetry layer, and the socket/JSON-RPC
-# front end (event loop + dispatcher pool under concurrent clients).
+# front end (event loop under concurrent clients, stop() with a reply owed).
 run_variant tsan thread "-R test_serve|test_serve_faults|test_cascade|test_thread_pool|test_parallel_determinism|test_obs|test_stream|test_net"
 
 # No-SIMD leg: build with PHISHINGHOOK_SIMD compiled out (and gcc's

@@ -1,8 +1,10 @@
 #include "net/json_rpc_server.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cctype>
 #include <utility>
+#include <vector>
 
 #include "obs/trace.hpp"
 
@@ -88,6 +90,37 @@ std::string shed_body(const std::string& why) {
 
 }  // namespace
 
+/// One HTTP frame from dispatch to response: a single call, or one call
+/// per batch entry. Shared by every Reply handed out for it.
+struct JsonRpcServer::Frame {
+  struct Call {
+    JsonValue id;
+    bool notification = false;
+    std::atomic<bool> answered{false};
+    std::optional<JsonValue> response;  ///< unset: nothing to send
+  };
+
+  JsonRpcServer* server = nullptr;
+  std::uint64_t conn_id = 0;
+  bool keep_alive = true;
+  bool batch = false;  ///< the body is an array of responses
+  obs::RequestContext ctx;
+  double handle_start_us = 0.0;
+  std::vector<Call> calls;
+  std::atomic<std::size_t> pending{0};  ///< unanswered calls (+1, dispatch)
+};
+
+void JsonRpcServer::Reply::result(JsonValue value) const {
+  const JsonValue& id = frame_->calls[call_].id;
+  frame_->server->answer(*frame_, call_,
+                         make_result_response(id, std::move(value)));
+}
+
+void JsonRpcServer::Reply::error(int code, const std::string& message) const {
+  const JsonValue& id = frame_->calls[call_].id;
+  frame_->server->answer(*frame_, call_, make_error_response(id, code, message));
+}
+
 JsonRpcServer::JsonRpcServer(RpcConfig config)
     : SocketServer(SocketServerConfig{
           config.max_connections,
@@ -98,17 +131,17 @@ JsonRpcServer::JsonRpcServer(RpcConfig config)
   registry_.set_help("net_requests_total",
                      "HTTP frames received by the JSON-RPC server");
   registry_.set_help("net_requests_shed",
-                     "Frames dropped by queue admission or dispatch deadline");
+                     "Frames refused with 503 because the server is stopping");
   registry_.set_help("net_requests_malformed",
                      "HTTP or JSON-RPC protocol violations answered with "
                      "an error");
-  registry_.set_help("net_stage_wait_us",
-                     "Queue-wait per network stage (parked, no work "
-                     "happening)");
   registry_.set_help("net_stage_service_us",
-                     "Service time per network stage (parse, handle)");
+                     "Service time per network stage (parse; handle = "
+                     "handler start to the frame's last reply)");
   registry_.set_help("net_request_total_us",
                      "Frame completion to response build, JSON-RPC layer");
+  registry_.set_help("net_frames_in_flight",
+                     "Frames dispatched whose response is not yet posted");
 }
 
 JsonRpcServer::~JsonRpcServer() { stop(); }
@@ -117,31 +150,15 @@ void JsonRpcServer::register_method(std::string method, Handler handler) {
   methods_[std::move(method)] = std::move(handler);
 }
 
-void JsonRpcServer::start(std::uint16_t port) {
-  SocketServer::start(port);
-  {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    queue_closed_ = false;
-  }
-  const std::size_t n = config_.dispatchers == 0 ? 1 : config_.dispatchers;
-  dispatchers_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    dispatchers_.emplace_back([this] { dispatcher_loop(); });
-  }
-}
-
 void JsonRpcServer::stop() {
   {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    queue_closed_ = true;
+    // Frames in flight still reply; each completion posts its response
+    // before leaving the count, and the loop's final task drain (inside
+    // SocketServer::stop) writes them.
+    std::unique_lock<std::mutex> lock(flight_mutex_);
+    stopping_ = true;
+    flight_cv_.wait(lock, [this] { return in_flight_ == 0; });
   }
-  queue_cv_.notify_all();
-  // Dispatchers drain what is queued — the loop is still alive, so those
-  // responses reach their sockets — then exit.
-  for (std::thread& dispatcher : dispatchers_) {
-    if (dispatcher.joinable()) dispatcher.join();
-  }
-  dispatchers_.clear();
   SocketServer::stop();
 }
 
@@ -149,8 +166,8 @@ void JsonRpcServer::export_metrics() {
   active_connections_.set(static_cast<double>(connections()));
   accepted_gauge_.set(static_cast<double>(connections_accepted()));
   rejected_gauge_.set(static_cast<double>(connections_rejected()));
-  std::lock_guard<std::mutex> lock(queue_mutex_);
-  queue_depth_.set(static_cast<double>(queue_.size()));
+  std::lock_guard<std::mutex> lock(flight_mutex_);
+  in_flight_gauge_.set(static_cast<double>(in_flight_));
 }
 
 void JsonRpcServer::on_open(Connection& conn) {
@@ -235,43 +252,42 @@ void JsonRpcServer::process_input(Connection& conn) {
   const std::size_t frame_size = head_end + 4 + content_length;
   if (conn.in.size() < frame_size) return;  // body still arriving
 
-  PendingCall call;
-  call.conn_id = conn.id;
-  call.body = conn.in.substr(head_end + 4, content_length);
-  call.keep_alive = keep_alive;
+  const std::string body = conn.in.substr(head_end + 4, content_length);
   conn.in.erase(0, frame_size);
 
   // The frame is complete: give the request its causal identity and
   // attribute the receive span (first byte -> frame complete) as the
   // "parse" stage on its lane.
-  call.ctx = obs::mint_request(tracer);
+  auto frame = std::make_shared<Frame>();
+  frame->server = this;
+  frame->conn_id = conn.id;
+  frame->keep_alive = keep_alive;
+  frame->ctx = obs::mint_request(tracer);
   const double now = tracer.now_us();
   parse_us_.record(now - state->first_byte_us);
-  obs::stage_slice(call.ctx, "net.parse", state->first_byte_us, now, tracer);
-  call.ctx.handoff_us = now;
+  obs::stage_slice(frame->ctx, "net.parse", state->first_byte_us, now, tracer);
   state->first_byte_us = 0;
   requests_total_.inc();
 
-  bool admitted = false;
+  bool refused = false;
   {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    if (!queue_closed_ && queue_.size() < config_.queue_capacity) {
-      state->busy = true;
-      queue_.push_back(std::move(call));
-      admitted = true;
+    std::lock_guard<std::mutex> lock(flight_mutex_);
+    if (stopping_) {
+      refused = true;
+    } else {
+      ++in_flight_;
     }
   }
-  if (!admitted) {
-    // Admission control at the socket: the dispatch queue is the
-    // net-layer's max_queue, and a full one answers shed immediately
-    // instead of growing an unbounded backlog.
+  if (refused) {
     shed_.inc();
-    obs::finish_request(call.ctx, tracer);
+    obs::finish_request(frame->ctx, tracer);
     respond_http(conn, 503, "Service Unavailable",
-                 shed_body("request shed: dispatch queue full"), keep_alive);
+                 shed_body("request refused: server stopping"), keep_alive);
     return;
   }
-  queue_cv_.notify_one();
+  state->busy = true;
+  frame->handle_start_us = now;
+  dispatch(frame, body);
 }
 
 void JsonRpcServer::respond_http(Connection& conn, int status,
@@ -305,151 +321,142 @@ void JsonRpcServer::respond_http(Connection& conn, int status,
   }
 }
 
-void JsonRpcServer::post_response(std::uint64_t conn_id, int status,
-                                  std::string body, bool keep_alive) {
-  const char* reason = status == 200   ? "OK"
-                       : status == 204 ? "No Content"
-                       : status == 503 ? "Service Unavailable"
-                                       : "Error";
-  with_connection(conn_id, [this, status, reason, body = std::move(body),
-                            keep_alive](Connection& conn) {
-    respond_http(conn, status, reason, body, keep_alive);
-  });
-}
-
-void JsonRpcServer::dispatcher_loop() {
-  obs::Tracer& tracer = obs::Tracer::global();
-  while (true) {
-    PendingCall call;
-    {
-      std::unique_lock<std::mutex> lock(queue_mutex_);
-      queue_cv_.wait(lock, [this] { return queue_closed_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // closed and drained
-      call = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    const double picked_up = tracer.now_us();
-    dispatch_wait_us_.record(call.ctx.wait_us(picked_up));
-    obs::stage_slice(call.ctx, "net.dispatch", call.ctx.handoff_us, picked_up,
-                     tracer);
-
-    if (config_.request_deadline_us > 0 &&
-        picked_up - call.ctx.born_us >
-            static_cast<double>(config_.request_deadline_us)) {
-      // Too old to be worth scoring — the socket-layer twin of the
-      // engine's deadline shed: drop before any model work is spent.
-      shed_.inc();
-      request_total_us_.record(picked_up - call.ctx.born_us);
-      obs::finish_request(call.ctx, tracer);
-      post_response(call.conn_id, 503,
-                    shed_body("request shed: deadline exceeded before "
-                              "dispatch"),
-                    call.keep_alive);
-      continue;
-    }
-
-    const std::string response_body = handle_frame(call);
-    const double done = tracer.now_us();
-    handle_us_.record(done - picked_up);
-    obs::stage_slice(call.ctx, "net.handle", picked_up, done, tracer);
-    request_total_us_.record(done - call.ctx.born_us);
-    obs::finish_request(call.ctx, tracer);
-    post_response(call.conn_id, response_body.empty() ? 204 : 200,
-                  response_body, call.keep_alive);
-  }
-}
-
-std::string JsonRpcServer::handle_frame(PendingCall& call) {
+void JsonRpcServer::dispatch(const std::shared_ptr<Frame>& frame,
+                             const std::string& body) {
   std::string parse_error;
-  std::optional<JsonValue> doc = JsonValue::parse(call.body, &parse_error);
+  const std::optional<JsonValue> doc = JsonValue::parse(body, &parse_error);
+  std::string frame_error;  // answers the whole frame as one call
   if (!doc) {
-    malformed_.inc();
-    return make_error_response(JsonValue::null(), rpc_errors::kParseError,
-                               "parse error: " + parse_error)
-        .dump();
-  }
-  const CallInfo info{call.ctx};
-  if (doc->is_array()) {
+    frame_error = "parse error: " + parse_error;
+  } else if (doc->is_array()) {
     batch_calls_.inc();
-    const JsonValue::Array& batch = doc->as_array();
-    if (batch.empty()) {
-      malformed_.inc();
-      return make_error_response(JsonValue::null(), rpc_errors::kInvalidRequest,
-                                 "empty batch")
-          .dump();
+    const std::size_t size = doc->as_array().size();
+    if (size == 0) {
+      frame_error = "empty batch";
+    } else if (size > config_.max_batch) {
+      frame_error = "batch larger than " + std::to_string(config_.max_batch);
     }
-    if (batch.size() > config_.max_batch) {
-      malformed_.inc();
-      return make_error_response(
-                 JsonValue::null(), rpc_errors::kInvalidRequest,
-                 "batch larger than " + std::to_string(config_.max_batch))
-          .dump();
+    frame->batch = frame_error.empty();
+  }
+  const std::size_t calls = frame->batch ? doc->as_array().size() : 1;
+  frame->calls = std::vector<Frame::Call>(calls);
+  // One extra count held until every handler has started, so a frame
+  // cannot complete half-dispatched.
+  frame->pending.store(calls + 1, std::memory_order_relaxed);
+  if (!frame_error.empty()) {
+    malformed_.inc();
+    answer(*frame, 0,
+           make_error_response(JsonValue::null(),
+                               doc ? rpc_errors::kInvalidRequest
+                                   : rpc_errors::kParseError,
+                               frame_error));
+  } else {
+    for (std::size_t i = 0; i < calls; ++i) {
+      call_method(frame, i, frame->batch ? doc->as_array()[i] : *doc);
     }
+  }
+  release(*frame);
+}
+
+void JsonRpcServer::answer(Frame& frame, std::size_t call,
+                           JsonValue response) {
+  Frame::Call& slot = frame.calls[call];
+  if (slot.answered.exchange(true, std::memory_order_acq_rel)) return;
+  // Notifications run their handler but get no response (spec).
+  if (!slot.notification) slot.response = std::move(response);
+  release(frame);
+}
+
+void JsonRpcServer::release(Frame& frame) {
+  if (frame.pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    complete(frame);
+  }
+}
+
+void JsonRpcServer::complete(Frame& frame) {
+  std::string body;
+  if (frame.batch) {
     JsonValue responses = JsonValue::array();
-    for (const JsonValue& request : batch) {
-      std::optional<JsonValue> response = handle_request(request, info);
-      if (response) responses.push_back(std::move(*response));
+    for (Frame::Call& call : frame.calls) {
+      if (call.response) responses.push_back(std::move(*call.response));
     }
     // All-notification batches get no body at all (spec: the server MUST
     // NOT return an empty array).
-    return responses.as_array().empty() ? std::string() : responses.dump();
+    if (!responses.as_array().empty()) body = responses.dump();
+  } else if (frame.calls[0].response) {
+    body = frame.calls[0].response->dump();
   }
-  std::optional<JsonValue> response = handle_request(*doc, info);
-  return response ? response->dump() : std::string();
+
+  obs::Tracer& tracer = obs::Tracer::global();
+  const double done = tracer.now_us();
+  handle_us_.record(done - frame.handle_start_us);
+  obs::stage_slice(frame.ctx, "net.handle", frame.handle_start_us, done,
+                   tracer);
+  request_total_us_.record(done - frame.ctx.born_us);
+  obs::finish_request(frame.ctx, tracer);
+
+  const int status = body.empty() ? 204 : 200;
+  with_connection(frame.conn_id, [this, status, body = std::move(body),
+                                  keep_alive = frame.keep_alive](
+                                     Connection& conn) {
+    respond_http(conn, status, status == 200 ? "OK" : "No Content", body,
+                 keep_alive);
+  });
+  // Last touch of the server from a completing thread: stop() may return
+  // as soon as the count reaches zero.
+  std::lock_guard<std::mutex> lock(flight_mutex_);
+  if (--in_flight_ == 0) flight_cv_.notify_all();
 }
 
-std::optional<JsonValue> JsonRpcServer::handle_request(
-    const JsonValue& request, const CallInfo& info) {
+void JsonRpcServer::call_method(const std::shared_ptr<Frame>& frame,
+                                std::size_t call, const JsonValue& request) {
+  Frame::Call& slot = frame->calls[call];
+  const auto fail = [&](int code, const std::string& message) {
+    answer(*frame, call, make_error_response(slot.id, code, message));
+  };
   if (!request.is_object()) {
     malformed_.inc();
-    return make_error_response(JsonValue::null(), rpc_errors::kInvalidRequest,
-                               "request must be an object");
+    fail(rpc_errors::kInvalidRequest, "request must be an object");
+    return;
   }
   const JsonValue* id_member = request.find("id");
-  const bool notification = id_member == nullptr;
-  const JsonValue id = notification ? JsonValue::null() : *id_member;
+  slot.notification = id_member == nullptr;
+  if (id_member != nullptr) slot.id = *id_member;
 
   const JsonValue* version = request.find("jsonrpc");
   if (version == nullptr || !version->is_string() ||
       version->as_string() != "2.0") {
     malformed_.inc();
-    if (notification) return std::nullopt;
-    return make_error_response(id, rpc_errors::kInvalidRequest,
-                               "jsonrpc must be \"2.0\"");
+    fail(rpc_errors::kInvalidRequest, "jsonrpc must be \"2.0\"");
+    return;
   }
   const JsonValue* method = request.find("method");
   if (method == nullptr || !method->is_string()) {
     malformed_.inc();
-    if (notification) return std::nullopt;
-    return make_error_response(id, rpc_errors::kInvalidRequest,
-                               "method must be a string");
+    fail(rpc_errors::kInvalidRequest, "method must be a string");
+    return;
   }
   const auto handler = methods_.find(method->as_string());
   if (handler == methods_.end()) {
-    if (notification) return std::nullopt;
-    return make_error_response(id, rpc_errors::kMethodNotFound,
-                               "method not found: " + method->as_string());
+    fail(rpc_errors::kMethodNotFound,
+         "method not found: " + method->as_string());
+    return;
   }
   const JsonValue* params_member = request.find("params");
-  JsonValue params = params_member == nullptr ? JsonValue::null()
-                                              : *params_member;
+  const JsonValue params =
+      params_member == nullptr ? JsonValue::null() : *params_member;
   if (!params.is_null() && !params.is_array() && !params.is_object()) {
     malformed_.inc();
-    if (notification) return std::nullopt;
-    return make_error_response(id, rpc_errors::kInvalidParams,
-                               "params must be array or object");
+    fail(rpc_errors::kInvalidParams, "params must be array or object");
+    return;
   }
   try {
-    JsonValue result = handler->second(params, info);
-    if (notification) return std::nullopt;
-    return make_result_response(id, std::move(result));
+    handler->second(params, CallInfo{frame->ctx}, Reply(frame, call));
   } catch (const RpcError& error) {
-    if (notification) return std::nullopt;
-    return make_error_response(id, error.code(), error.what());
+    fail(error.code(), error.what());
   } catch (const std::exception& error) {
-    if (notification) return std::nullopt;
-    return make_error_response(id, rpc_errors::kInternalError,
-                               std::string("internal error: ") + error.what());
+    fail(rpc_errors::kInternalError,
+         std::string("internal error: ") + error.what());
   }
 }
 

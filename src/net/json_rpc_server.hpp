@@ -8,47 +8,34 @@
 //   curl -s -X POST http://127.0.0.1:9545/ -d '{"jsonrpc":"2.0","id":1,
 //       "method":"phook_score","params":["0x1234...40 hex..."]}'
 //
-// Division of labor across threads:
-//
-//   loop thread        accept, buffer, parse HTTP frames (head + body,
-//                      Content-Length), mint the request's causal
-//                      identity (obs::RequestContext — the same trace-id
-//                      lane machinery every in-process request gets),
-//                      enqueue onto the dispatch queue, write responses
-//   dispatcher threads pop frames, parse JSON-RPC, run the registered
-//                      method handler (which may block on a scoring
-//                      future — that is what the threads are for), post
-//                      the response back onto the loop
-//
-// Overload and deadlines map onto the engine's shed vocabulary: a full
-// dispatch queue answers 503/-32005 immediately (admission control at the
-// socket, mirroring EngineConfig::max_queue), and a frame older than
-// request_deadline_us when a dispatcher picks it up is shed without
-// touching the engine (mirroring EngineConfig::deadline_us). Sheds,
-// malformed frames, and per-stage latency all land in the server's own
-// net_* registry, scrapable next to the engine's serve_* series.
+// Threads: none of its own. The SocketServer loop thread buffers and
+// parses HTTP and JSON-RPC, mints the request's obs::RequestContext and
+// runs the method handler, which must not block: it replies at once or
+// hands its Reply to the work's completion (a scoring engine worker). The
+// thread that lands a frame's last reply builds the body and posts it to
+// the loop with with_connection(). stop() refuses new frames (503/-32005),
+// waits for every frame in flight to post its response, then stops the
+// loop, whose final task drain writes them. Malformed frames and per-stage
+// latency land in the server's net_* registry.
 //
 // Transport rules: POST only (405 otherwise), Content-Length required
 // (411), bodies over max_body_bytes refused (413), HTTP/1.1 keep-alive
 // honored with at most one in-flight request per connection (responses
 // are posted asynchronously; ordering two pipelined responses would
-// require sequencing the dispatchers — refusing to read ahead is simpler
+// require sequencing the completions — refusing to read ahead is simpler
 // and loses nothing at scoring-request sizes). JSON-RPC batches work,
 // including mixed valid/invalid entries and notification elision, capped
 // at max_batch entries.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <unordered_map>
-#include <vector>
 
 #include "net/json.hpp"
 #include "net/socket_server.hpp"
@@ -65,8 +52,8 @@ struct rpc_errors {
   static constexpr int kMethodNotFound = -32601;
   static constexpr int kInvalidParams = -32602;
   static constexpr int kInternalError = -32603;
-  /// Request shed by admission control or deadline — the socket-layer
-  /// twin of serve::ScoreStatus::kShed.
+  /// Request refused: the server is stopping or the scoring engine shut
+  /// down — the socket-layer twin of serve::ScoreStatus::kShed.
   static constexpr int kShed = -32005;
 };
 
@@ -85,20 +72,14 @@ struct RpcConfig {
   std::size_t max_connections = 128;
   /// HTTP body cap; Content-Length above this is refused with 413.
   std::size_t max_body_bytes = 1 << 20;
-  /// Threads running method handlers (each may block on one scoring
-  /// future at a time).
-  std::size_t dispatchers = 2;
-  /// Dispatch-queue admission cap; a full queue sheds with 503/-32005.
-  std::size_t queue_capacity = 256;
-  /// Frames older than this when a dispatcher picks them up are shed
-  /// before any handler work. 0 = no deadline.
-  std::uint64_t request_deadline_us = 0;
   /// Entries allowed in one JSON-RPC batch array.
   std::size_t max_batch = 64;
   std::uint64_t idle_timeout_ms = 30000;
 };
 
 class JsonRpcServer : public SocketServer {
+  struct Frame;
+
  public:
   /// Everything a handler may want beyond its params: the request's
   /// causal identity (pass it into ScoringEngine::submit to keep the
@@ -107,10 +88,27 @@ class JsonRpcServer : public SocketServer {
     obs::RequestContext ctx;
   };
 
-  /// Runs on a dispatcher thread; may block. Return the JSON-RPC result
-  /// value; throw RpcError for protocol-visible failures.
-  using Handler =
-      std::function<JsonValue(const JsonValue& params, const CallInfo& call)>;
+  /// A handler's way to answer its call, now or later, from any thread.
+  /// Copyable; every copy answers the same call, and only the first
+  /// answer counts.
+  class Reply {
+   public:
+    void result(JsonValue value) const;
+    void error(int code, const std::string& message) const;
+
+   private:
+    friend class JsonRpcServer;
+    Reply(std::shared_ptr<Frame> frame, std::size_t call)
+        : frame_(std::move(frame)), call_(call) {}
+    std::shared_ptr<Frame> frame_;
+    std::size_t call_;
+  };
+
+  /// Runs on the loop thread and must not block. Answer exactly once
+  /// through `reply`; throwing RpcError (or any exception) before that
+  /// answers with the error instead.
+  using Handler = std::function<void(const JsonValue& params,
+                                     const CallInfo& call, Reply reply)>;
 
   explicit JsonRpcServer(RpcConfig config = {});
   ~JsonRpcServer() override;
@@ -118,11 +116,8 @@ class JsonRpcServer : public SocketServer {
   /// Registers `method`; call before start(). Re-registering replaces.
   void register_method(std::string method, Handler handler);
 
-  /// Binds + starts the loop thread and the dispatcher pool.
-  void start(std::uint16_t port);
-
-  /// Drains the dispatch queue (in-flight handlers finish and their
-  /// responses flush), joins dispatchers, then stops the loop. Idempotent.
+  /// Refuses new frames, waits for every frame in flight to reply, writes
+  /// those responses, then stops the loop. Idempotent.
   void stop();
 
   /// The server's net_* metrics (counters, gauges, stage histograms).
@@ -131,8 +126,8 @@ class JsonRpcServer : public SocketServer {
   const obs::MetricsRegistry& metrics_registry() const { return registry_; }
   obs::MetricsRegistry& metrics_registry() { return registry_; }
 
-  /// Syncs pull-model gauges (active connections, queue depth) into the
-  /// registry — wire as a scrape-server pre-scrape hook.
+  /// Syncs pull-model gauges (active connections, frames in flight) into
+  /// the registry — wire as a scrape-server pre-scrape hook.
   void export_metrics();
 
   std::uint64_t requests_received() const {
@@ -145,14 +140,6 @@ class JsonRpcServer : public SocketServer {
   void on_overflow(Connection& conn) override;
 
  private:
-  /// One parsed HTTP frame awaiting a dispatcher.
-  struct PendingCall {
-    std::uint64_t conn_id = 0;
-    std::string body;
-    bool keep_alive = true;
-    obs::RequestContext ctx;
-  };
-
   /// Per-connection HTTP state, hung off Connection::user.
   struct HttpState {
     bool busy = false;        ///< frame in flight; don't read ahead
@@ -164,27 +151,27 @@ class JsonRpcServer : public SocketServer {
   /// the connection. Loop thread.
   void respond_http(Connection& conn, int status, const char* reason,
                     const std::string& body, bool keep_alive);
-  /// Thread-safe: builds + posts the HTTP response for a dispatched frame.
-  void post_response(std::uint64_t conn_id, int status, std::string body,
-                     bool keep_alive);
 
-  void dispatcher_loop();
-  /// Full JSON-RPC handling of one frame body; returns the HTTP response
-  /// body ("" = 204-style all-notification batch).
-  std::string handle_frame(PendingCall& call);
-  /// One request object out of a frame (single or batch element);
-  /// returns nullopt for notifications.
-  std::optional<JsonValue> handle_request(const JsonValue& request,
-                                          const CallInfo& info);
+  /// Parses one frame body and runs its handlers. Loop thread.
+  void dispatch(const std::shared_ptr<Frame>& frame, const std::string& body);
+  /// Validates one request object and runs its handler (or answers).
+  void call_method(const std::shared_ptr<Frame>& frame, std::size_t call,
+                   const JsonValue& request);
+  /// Records a call's response; only the first answer per call counts.
+  void answer(Frame& frame, std::size_t call, JsonValue response);
+  /// Counts down the frame's pending answers; the last completes it.
+  void release(Frame& frame);
+  /// Builds the body, closes the trace lane, posts the response. Any
+  /// thread.
+  void complete(Frame& frame);
 
   RpcConfig config_;
   std::unordered_map<std::string, Handler> methods_;
 
-  std::mutex queue_mutex_;
-  std::condition_variable queue_cv_;
-  std::deque<PendingCall> queue_;
-  bool queue_closed_ = false;
-  std::vector<std::thread> dispatchers_;
+  std::mutex flight_mutex_;
+  std::condition_variable flight_cv_;
+  std::size_t in_flight_ = 0;  ///< frames dispatched, response not posted
+  bool stopping_ = false;
 
   obs::MetricsRegistry registry_;
   obs::Counter requests_total_ = registry_.counter("net_requests_total");
@@ -195,11 +182,9 @@ class JsonRpcServer : public SocketServer {
   obs::Gauge active_connections_ = registry_.gauge("net_connections_active");
   obs::Gauge accepted_gauge_ = registry_.gauge("net_connections_accepted");
   obs::Gauge rejected_gauge_ = registry_.gauge("net_connections_rejected");
-  obs::Gauge queue_depth_ = registry_.gauge("net_dispatch_queue_depth");
+  obs::Gauge in_flight_gauge_ = registry_.gauge("net_frames_in_flight");
   obs::LatencyHistogram& parse_us_ =
       registry_.histogram("net_stage_service_us", obs::label("stage", "parse"));
-  obs::LatencyHistogram& dispatch_wait_us_ = registry_.histogram(
-      "net_stage_wait_us", obs::label("stage", "dispatch"));
   obs::LatencyHistogram& handle_us_ = registry_.histogram(
       "net_stage_service_us", obs::label("stage", "handle"));
   obs::LatencyHistogram& request_total_us_ =

@@ -14,7 +14,7 @@
 // Protocol subclasses implement on_data(conn) — inspect conn.in, consume
 // complete frames, queue responses with send_data() — and run entirely on
 // the loop thread, so connection state needs no locking. Work finished on
-// *other* threads (a dispatcher resolving a scoring future) re-enters via
+// *other* threads (a scoring engine's completion) re-enters via
 // with_connection(id, fn), which posts onto the loop and silently drops
 // when the connection died in the meantime — the generation-free id (never
 // reused within a server) makes that race benign.
@@ -119,7 +119,7 @@ class SocketServer {
 
   /// Runs `fn(conn)` on the loop thread if connection `id` is still alive;
   /// drops silently otherwise. Thread-safe — the hand-back path for
-  /// dispatcher/completion threads.
+  /// completion threads.
   void with_connection(std::uint64_t id, std::function<void(Connection&)> fn);
 
   /// Extra per-tick work on the loop thread (deadline sweeps beyond the

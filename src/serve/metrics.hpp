@@ -52,7 +52,7 @@ struct ServiceMetrics {
       registry.gauge("serve_flat_node_count");  ///< compiled ensemble nodes
 
   LatencyHistogram& request_latency =
-      registry.histogram("serve_request_latency_us");  ///< submit -> future done
+      registry.histogram("serve_request_latency_us");  ///< submit -> done()
   LatencyHistogram& batch_latency =
       registry.histogram("serve_batch_latency_us");  ///< one drain+score cycle
 
@@ -68,7 +68,7 @@ struct ServiceMetrics {
 
   ServiceMetrics() {
     registry.set_help("serve_requests_submitted",
-                      "Scoring requests accepted by submit()/try_submit()");
+                      "Scoring requests accepted by try_submit()");
     registry.set_help("serve_requests_shed",
                       "Requests dropped by admission control or deadline");
     registry.set_help("serve_requests_degraded",
@@ -77,7 +77,8 @@ struct ServiceMetrics {
     registry.set_help("serve_queue_depth",
                       "Requests admitted but not yet pulled into a batch");
     registry.set_help("serve_request_latency_us",
-                      "End-to-end latency, submit to future completion");
+                      "End-to-end latency, try_submit to the completion "
+                      "callback");
     registry.set_help(
         "serve_stage_wait_us",
         "Queue-wait per pipeline stage (parked, no work happening)");

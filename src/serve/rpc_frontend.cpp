@@ -1,7 +1,8 @@
 #include "serve/rpc_frontend.hpp"
 
+#include <atomic>
 #include <cstddef>
-#include <future>
+#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -67,23 +68,22 @@ JsonValue invalid_address_object(const JsonValue& entry,
 
 RpcFrontend::RpcFrontend(ScoringEngine& engine, net::RpcConfig config)
     : engine_(engine), server_(config) {
+  using Reply = net::JsonRpcServer::Reply;
+  using CallInfo = net::JsonRpcServer::CallInfo;
   server_.register_method(
       "phook_score",
-      [this](const JsonValue& params,
-             const net::JsonRpcServer::CallInfo& call) {
-        return score(params, call);
+      [this](const JsonValue& params, const CallInfo& call, Reply reply) {
+        score(params, call, std::move(reply));
       });
   server_.register_method(
       "phook_scoreBatch",
-      [this](const JsonValue& params,
-             const net::JsonRpcServer::CallInfo& call) {
-        return score_batch(params, call);
+      [this](const JsonValue& params, const CallInfo& call, Reply reply) {
+        score_batch(params, call, std::move(reply));
       });
   server_.register_method(
       "phook_health",
-      [this](const JsonValue& params,
-             const net::JsonRpcServer::CallInfo& call) {
-        return health(params, call);
+      [this](const JsonValue&, const CallInfo&, const Reply& reply) {
+        reply.result(health());
       });
 }
 
@@ -91,8 +91,9 @@ void RpcFrontend::start(std::uint16_t port) { server_.start(port); }
 
 void RpcFrontend::stop() { server_.stop(); }
 
-JsonValue RpcFrontend::score(const JsonValue& params,
-                             const net::JsonRpcServer::CallInfo& call) {
+void RpcFrontend::score(const JsonValue& params,
+                        const net::JsonRpcServer::CallInfo& call,
+                        net::JsonRpcServer::Reply reply) {
   if (!params.is_array() || params.as_array().size() != 1) {
     throw RpcError(rpc_errors::kInvalidParams,
                    "expected params [\"0x<40 hex>\"]");
@@ -105,16 +106,18 @@ JsonValue RpcFrontend::score(const JsonValue& params,
   // Continue the socket request's causal lane into the engine: its queue
   // wait and extract/predict spans join the same trace id the net layer
   // opened at frame completion.
-  std::optional<std::future<ScoreResult>> future =
-      engine_.try_submit(*address, call.ctx);
-  if (!future) {
+  const bool accepted = engine_.try_submit(
+      *address, call.ctx, [reply = std::move(reply)](ScoreResult result) {
+        reply.result(result_object(result));
+      });
+  if (!accepted) {
     throw RpcError(rpc_errors::kShed, "scoring engine is shutting down");
   }
-  return result_object(future->get());
 }
 
-JsonValue RpcFrontend::score_batch(const JsonValue& params,
-                                   const net::JsonRpcServer::CallInfo& call) {
+void RpcFrontend::score_batch(const JsonValue& params,
+                              const net::JsonRpcServer::CallInfo& call,
+                              net::JsonRpcServer::Reply reply) {
   if (!params.is_array() || params.as_array().size() != 1 ||
       !params.as_array()[0].is_array()) {
     throw RpcError(rpc_errors::kInvalidParams,
@@ -122,41 +125,51 @@ JsonValue RpcFrontend::score_batch(const JsonValue& params,
   }
   const JsonValue::Array& entries = params.as_array()[0].as_array();
 
-  // Submit the whole wave before waiting on anything — that is what lets
-  // the engine micro-batch the addresses into shared predict_proba calls.
-  struct Slot {
-    JsonValue ready;  ///< filled now for invalid entries
-    std::optional<std::future<ScoreResult>> future;
-  };
-  std::vector<Slot> slots;
-  slots.reserve(entries.size());
-  for (const JsonValue& entry : entries) {
-    Slot slot;
-    std::string why;
-    const std::optional<evm::Address> address = parse_address(entry, &why);
-    if (!address) {
-      slot.ready = invalid_address_object(entry, why);
-    } else {
-      slot.future = engine_.try_submit(*address, call.ctx);
-      if (!slot.future) {
-        throw RpcError(rpc_errors::kShed, "scoring engine is shutting down");
+  // Submit the whole wave at once — that is what lets the engine
+  // micro-batch the addresses into shared score_batch calls — and reply
+  // once, from whichever thread lands the last row.
+  struct Join {
+    explicit Join(net::JsonRpcServer::Reply r) : reply(std::move(r)) {}
+    net::JsonRpcServer::Reply reply;
+    JsonValue::Array rows;
+    /// Rows not landed yet, plus one held by the submitting loop.
+    std::atomic<std::size_t> pending{1};
+    bool refused = false;  ///< written before the submitter's release
+    void release() {
+      if (pending.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
+      if (refused) {
+        reply.error(rpc_errors::kShed, "scoring engine is shutting down");
+      } else {
+        reply.result(JsonValue::array(std::move(rows)));
       }
     }
-    slots.push_back(std::move(slot));
+  };
+  auto join = std::make_shared<Join>(std::move(reply));
+  join->rows.resize(entries.size());
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    std::string why;
+    const std::optional<evm::Address> address =
+        parse_address(entries[i], &why);
+    if (!address) {
+      join->rows[i] = invalid_address_object(entries[i], why);
+      continue;
+    }
+    join->pending.fetch_add(1, std::memory_order_relaxed);
+    const bool accepted = engine_.try_submit(
+        *address, call.ctx, [join, i](ScoreResult result) {
+          join->rows[i] = result_object(result);
+          join->release();
+        });
+    if (!accepted) {
+      join->pending.fetch_sub(1, std::memory_order_relaxed);
+      join->refused = true;
+      break;
+    }
   }
-
-  JsonValue results = JsonValue::array();
-  for (Slot& slot : slots) {
-    results.push_back(slot.future ? result_object(slot.future->get())
-                                  : std::move(slot.ready));
-  }
-  return results;
+  join->release();
 }
 
-JsonValue RpcFrontend::health(const JsonValue& params,
-                              const net::JsonRpcServer::CallInfo& call) {
-  (void)params;
-  (void)call;
+JsonValue RpcFrontend::health() const {
   const ServiceMetrics& m = engine_.metrics();
   const CacheStats cache = engine_.cache_stats();
 

@@ -8,26 +8,25 @@
 //                    cascade stage + model attribution, latency
 //                    attribution, trace_id)
 //   phook_scoreBatch params [["0x..", "0x..", ...]] — scored as one
-//                    engine wave (all submitted before any wait); bad hex
-//                    entries come back as status "invalid_address" without
-//                    failing the rest
+//                    engine wave (all submitted at once, one response when
+//                    the last row lands); bad hex entries come back as
+//                    status "invalid_address" without failing the rest
 //   phook_health     no params — engine counters + cache stats + the
 //                    net-layer's own request counts, as one JSON object;
 //                    when the engine serves a CascadeScorer, a "cascade"
 //                    section adds the band config and per-stage traffic
 //
-// The request's causal identity crosses the boundary: the socket layer
-// mints the obs::RequestContext when the HTTP frame completes, and the
-// handlers pass it into ScoringEngine::submit, so one trace id spans
-// net.parse -> net.dispatch -> engine queue -> extract -> predict in the
-// exported Perfetto trace.
+// The handlers run on the server's loop thread and never wait: they reply
+// from the engine's completion, on the worker that scored the last row.
+// They pass the frame's obs::RequestContext into try_submit, so one trace
+// id spans net.parse -> engine queue -> extract -> predict -> net.handle;
+// the server owns that lane and closes it once.
 //
-// Shed semantics: a full dispatch queue or an expired network deadline
-// never reaches these handlers (the server answers 503/-32005 itself);
-// engine-level sheds (queue-full, engine deadline) surface in the result
-// object's status field as "shed", because the request *was* answered —
-// with a definite refusal, which a wallet treats differently from a
-// transport error.
+// Shed semantics: engine-level sheds (queue-full, engine deadline) surface
+// in the result object's status field as "shed", because the request
+// *was* answered — with a definite refusal, which a wallet treats
+// differently from a transport error. An engine that has begun shutting
+// down answers the whole call with -32005.
 #pragma once
 
 #include <cstdint>
@@ -55,12 +54,13 @@ class RpcFrontend {
   const net::JsonRpcServer& server() const { return server_; }
 
  private:
-  net::JsonValue score(const net::JsonValue& params,
-                       const net::JsonRpcServer::CallInfo& call);
-  net::JsonValue score_batch(const net::JsonValue& params,
-                             const net::JsonRpcServer::CallInfo& call);
-  net::JsonValue health(const net::JsonValue& params,
-                        const net::JsonRpcServer::CallInfo& call);
+  void score(const net::JsonValue& params,
+             const net::JsonRpcServer::CallInfo& call,
+             net::JsonRpcServer::Reply reply);
+  void score_batch(const net::JsonValue& params,
+                   const net::JsonRpcServer::CallInfo& call,
+                   net::JsonRpcServer::Reply reply);
+  net::JsonValue health() const;
 
   ScoringEngine& engine_;
   net::JsonRpcServer server_;

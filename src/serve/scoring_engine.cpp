@@ -7,6 +7,7 @@
 #include <unordered_map>
 
 #include "common/errors.hpp"
+#include "common/logging.hpp"
 #include "common/thread_pool.hpp"
 #include "ml/flat_tree.hpp"
 #include "obs/trace.hpp"
@@ -73,9 +74,9 @@ void ScoringEngine::deliver(Request& request, ScoreResult result) {
   result.latency_us = request.queued.seconds() * 1e6;
   result.queue_wait_us = request.queue_wait_us;
   result.trace_id = request.ctx.trace_id;
-  // Terminal stage of the causal lane: close the umbrella async slice and
-  // finish the flow arrow before the promise wakes the consumer.
-  obs::finish_request(request.ctx);
+  // A lane minted at admission ends here; an upstream lane belongs to the
+  // submitter, which closes it once its own work on the request is done.
+  if (request.owns_lane) obs::finish_request(request.ctx);
   // Every terminal outcome records latency — failed and shed requests held
   // capacity too, and hiding them would flatter the percentiles.
   metrics_.request_latency.record(result.latency_us);
@@ -98,48 +99,33 @@ void ScoringEngine::deliver(Request& request, ScoreResult result) {
       metrics_.requests_shed.inc();
       break;
   }
-  request.promise.set_value(std::move(result));
-}
-
-std::future<ScoreResult> ScoringEngine::submit(const evm::Address& address) {
-  return submit(address, obs::RequestContext{});
-}
-
-std::future<ScoreResult> ScoringEngine::submit(const evm::Address& address,
-                                               obs::RequestContext ctx) {
-  std::optional<std::future<ScoreResult>> future =
-      try_submit(address, std::move(ctx));
-  if (!future.has_value()) {
-    throw StateError("ScoringEngine::submit after shutdown");
+  // A throwing completion breaks its contract; record it rather than let
+  // it end the worker thread (and the process).
+  try {
+    request.done(std::move(result));
+  } catch (const std::exception& e) {
+    common::log_error("scoring completion threw: ", e.what());
   }
-  return std::move(*future);
 }
 
-std::optional<std::future<ScoreResult>> ScoringEngine::try_submit(
-    const evm::Address& address) {
-  return try_submit(address, obs::RequestContext{});
-}
-
-std::optional<std::future<ScoreResult>> ScoringEngine::try_submit(
-    const evm::Address& address, obs::RequestContext ctx) {
+bool ScoringEngine::try_submit(const evm::Address& address,
+                               obs::RequestContext ctx, Completion done) {
   obs::Tracer& tracer = obs::Tracer::global();
-  if (!ctx.valid()) ctx = obs::mint_request(tracer);
+  Request request;
+  request.owns_lane = !ctx.valid();
+  if (request.owns_lane) ctx = obs::mint_request(tracer);
   // Restamp the hand-off: from here queue-wait means *this* queue, not
   // whatever upstream hop the context already traveled.
   ctx.handoff_us = tracer.now_us();
-  Request request;
   request.address = address;
   request.ctx = ctx;
-  std::future<ScoreResult> future = request.promise.get_future();
+  request.done = std::move(done);
   bool admitted = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (stopping_) {
-      // The lane ends here (whether we minted it or it arrived from
-      // upstream, it was handed to us by value) — close it instead of
-      // leaving an unclosed async slice in the trace.
-      obs::finish_request(ctx, tracer);
-      return std::nullopt;
+      if (request.owns_lane) obs::finish_request(request.ctx, tracer);
+      return false;
     }
     if (config_.max_queue == 0 || queue_.size() < config_.max_queue) {
       queue_.push_back(std::move(request));
@@ -151,7 +137,7 @@ std::optional<std::future<ScoreResult>> ScoringEngine::try_submit(
   if (admitted) {
     queue_cv_.notify_one();
   } else {
-    // Reject-on-full: resolve right here instead of letting the queue grow
+    // Reject-on-full: answer right here instead of letting the queue grow
     // without bound — the caller learns immediately and can back off.
     ScoreResult shed;
     shed.status = ScoreStatus::kShed;
@@ -159,31 +145,36 @@ std::optional<std::future<ScoreResult>> ScoringEngine::try_submit(
                  std::to_string(config_.max_queue) + ")";
     deliver(request, std::move(shed));
   }
-  return future;
+  return true;
 }
 
 std::vector<ScoreResult> ScoringEngine::score_all(
     const std::vector<evm::Address>& addresses) {
-  std::vector<std::future<ScoreResult>> futures;
-  futures.reserve(addresses.size());
-  for (const evm::Address& address : addresses) {
-    futures.push_back(submit(address));
-  }
-  // Collect everything: a single bad future must not abandon the results
-  // (and the worker-side promises) of the requests after it.
-  std::vector<ScoreResult> results;
-  results.reserve(futures.size());
-  for (std::size_t i = 0; i < futures.size(); ++i) {
-    try {
-      results.push_back(futures[i].get());
-    } catch (const std::exception& e) {
-      ScoreResult lost;
-      lost.address = addresses[i];
-      lost.status = ScoreStatus::kShed;
-      lost.error = std::string("result unavailable: ") + e.what();
-      results.push_back(std::move(lost));
+  std::vector<ScoreResult> results(addresses.size());
+  std::mutex mutex;
+  std::condition_variable landed;
+  std::size_t pending = addresses.size();
+  // Notify under the lock: once pending hits 0 the waiter may return and
+  // destroy these locals, so no completion may touch them after unlocking.
+  const auto settle = [&] {
+    std::lock_guard<std::mutex> lock(mutex);
+    if (--pending == 0) landed.notify_one();
+  };
+  for (std::size_t i = 0; i < addresses.size(); ++i) {
+    const bool accepted = try_submit(
+        addresses[i], obs::RequestContext{}, [&, i](ScoreResult result) {
+          results[i] = std::move(result);
+          settle();
+        });
+    if (!accepted) {
+      results[i].address = addresses[i];
+      results[i].status = ScoreStatus::kShed;
+      results[i].error = "engine shut down";
+      settle();
     }
   }
+  std::unique_lock<std::mutex> lock(mutex);
+  landed.wait(lock, [&] { return pending == 0; });
   return results;
 }
 

@@ -5,11 +5,12 @@
 // seconds. The engine accepts addresses on any number of producer threads,
 // queues them, and has a worker pool drain the queue in micro-batches:
 //
-//   submit(addr) -> [bounded queue] -> worker: shed expired deadlines
-//                                        -> BEM eth_getCode (retried)
-//                                        -> code hash -> score cache?
-//                                        -> one score_batch per batch
-//                                        -> cache fill -> future completed
+//   try_submit(addr, done)
+//     -> [bounded queue] -> worker: shed expired deadlines
+//                             -> BEM eth_getCode (retried)
+//                             -> code hash -> score cache?
+//                             -> one score_batch per batch
+//                             -> cache fill -> done(result)
 //
 // The detector is any ml::Scorer — a single fitted model of any family,
 // or a composite like serve::CascadeScorer. Batching exists because
@@ -20,8 +21,8 @@
 // the signing budget.
 //
 // Fault isolation contract: the inputs are adversarial and the upstream is
-// unreliable, so *no request outcome is an exception*. Every future
-// resolves with a ScoreResult carrying a definite ScoreStatus; a throwing
+// unreliable, so *no request outcome is an exception*. Every completion
+// receives a ScoreResult carrying a definite ScoreStatus; a throwing
 // extract is confined to its slot (after RetryPolicy-governed retries of
 // transient faults), a throwing score_batch fails only the slots that
 // actually needed the model — cache hits and empty-code slots in the same
@@ -43,9 +44,8 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <future>
+#include <functional>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -73,7 +73,7 @@ struct EngineConfig {
   /// 0 = unbounded. A submit against a full queue resolves immediately
   /// with ScoreStatus::kShed instead of queueing.
   std::size_t max_queue = 0;
-  /// Per-request deadline measured from submit(); 0 = none. Requests still
+  /// Per-request deadline measured from try_submit(); 0 = none. Requests still
   /// queued past their deadline are shed (kShed) before any extract or
   /// model work is spent on them.
   std::uint64_t deadline_us = 0;
@@ -82,8 +82,8 @@ struct EngineConfig {
   common::RetryPolicy extract_retry;
 };
 
-/// Definite outcome of a scoring request. Futures returned by submit()
-/// always resolve with one of these — never with an exception.
+/// Definite outcome of a scoring request. Every accepted request's
+/// completion receives one of these — never an exception.
 enum class ScoreStatus {
   kOk,            ///< scored (model or cache)
   kEmptyCode,     ///< EOA / destroyed contract (scored as 0)
@@ -106,7 +106,7 @@ struct ScoreResult {
   std::uint32_t stage = 0;    ///< cascade stage that produced the score
   std::string model;          ///< model behind that stage, "" if unscored
   std::string error;          ///< diagnostic, empty when ok/empty_code
-  double latency_us = 0.0;    ///< submit -> completion
+  double latency_us = 0.0;    ///< try_submit -> completion
   double queue_wait_us = 0.0;  ///< time parked in the engine queue
   std::uint64_t trace_id = 0;  ///< causal id; nonzero once a ctx was minted
 
@@ -133,32 +133,24 @@ class ScoringEngine {
   ScoringEngine(const ScoringEngine&) = delete;
   ScoringEngine& operator=(const ScoringEngine&) = delete;
 
-  /// Enqueues one address; the future completes when a worker scores it
-  /// (or immediately, with kShed, when the queue is full). Callable from
-  /// any thread. Throws StateError after shutdown() began — the only
-  /// exception this API surfaces. The ctx-less form mints a fresh
-  /// RequestContext at admission; the ctx-carrying form continues a causal
-  /// lane that began upstream (block follower, load generator), so one
-  /// trace id spans ingest -> queue -> extract -> predict in the exported
-  /// trace. Either way the context's hand-off stamp is refreshed at
-  /// enqueue, so queue-wait attribution measures *this* queue only.
-  std::future<ScoreResult> submit(const evm::Address& address);
-  std::future<ScoreResult> submit(const evm::Address& address,
-                                  obs::RequestContext ctx);
+  /// Receives a request's outcome, exactly once per accepted request: on
+  /// the worker that scored it, or inline on the submitting thread when a
+  /// full queue sheds it. Must not block or throw (it holds a worker).
+  using Completion = std::function<void(ScoreResult)>;
 
-  /// Non-throwing submit for streaming producers racing shutdown: returns
-  /// nullopt once shutdown() began (instead of StateError), otherwise
-  /// behaves exactly like submit(). A full queue still yields a kShed
-  /// future — nullopt strictly means "engine no longer accepts work".
-  std::optional<std::future<ScoreResult>> try_submit(
-      const evm::Address& address);
-  std::optional<std::future<ScoreResult>> try_submit(
-      const evm::Address& address, obs::RequestContext ctx);
+  /// Enqueues one address from any thread; `done` runs when it is scored.
+  /// Returns false — and never runs `done` — once shutdown() began.
+  /// An invalid `ctx` makes the engine mint a lane and close it at
+  /// delivery; a valid one continues an upstream lane (socket frame, block
+  /// follower), which the caller owns and closes once, also on false.
+  /// The hand-off stamp is refreshed here, so queue-wait measures *this*
+  /// queue only.
+  bool try_submit(const evm::Address& address, obs::RequestContext ctx,
+                  Completion done);
 
-  /// Convenience: submit + wait for a whole address list. Never throws out
-  /// of the collection loop — a future that cannot deliver (e.g. its
-  /// promise was abandoned) yields a kShed result for that address while
-  /// every other in-flight result is still collected.
+  /// Convenience: submit a whole address list and wait for every result,
+  /// in input order. Addresses refused because shutdown() began come back
+  /// kShed without entering the engine's counters.
   std::vector<ScoreResult> score_all(const std::vector<evm::Address>& addresses);
 
   /// Stops accepting work, finishes what is queued, joins workers.
@@ -178,15 +170,12 @@ class ScoringEngine {
 
   /// Syncs pull-model state (score-cache stats, the scorer's own gauges
   /// such as the cascade escalation rate) into the engine registry. Wire
-  /// as an obs::ScrapeServer pre-scrape hook so /metrics always shows
+  /// as a net::ScrapeServer pre-scrape hook so /metrics always shows
   /// fresh serve_cache_* / serve_cascade_* values.
   void export_pull_metrics() {
     cache_.export_metrics(metrics_.registry);
     detector_->export_metrics(metrics_.registry);
   }
-
-  /// Back-compat alias for export_pull_metrics().
-  void export_cache_metrics() { export_pull_metrics(); }
 
   /// The engine's private registry, scrapable alongside the global one.
   const obs::MetricsRegistry& prometheus_registry() const {
@@ -203,9 +192,10 @@ class ScoringEngine {
  private:
   struct Request {
     evm::Address address;
-    std::promise<ScoreResult> promise;
-    common::Timer queued;        ///< starts at submit()
+    Completion done;
+    common::Timer queued;        ///< starts at try_submit()
     obs::RequestContext ctx;     ///< causal identity, hand-off restamped
+    bool owns_lane = false;      ///< ctx minted here; deliver() closes it
     double queue_wait_us = 0.0;  ///< filled when the batch pops it
   };
 
@@ -220,8 +210,8 @@ class ScoringEngine {
   evm::Bytecode extract_code(const evm::Address& address);
 
   /// Completes one request: stamps address + latency, records the latency
-  /// histogram and the completed/failed/shed counter for the status, and
-  /// fulfills the promise.
+  /// histogram and the completed/failed/shed counter for the status, closes
+  /// the lane if the engine minted it, and runs the completion.
   void deliver(Request& request, ScoreResult result);
 
   core::BytecodeExtractionModule bem_;

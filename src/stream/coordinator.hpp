@@ -1,20 +1,23 @@
 // StreamCoordinator: wires miner → follower → load generator → engine
 // into a running pipeline with a graceful start/drain lifecycle.
 //
-// Four single-purpose threads, hand-offs over bounded queues:
+// Three single-purpose threads, one bounded hand-off between them:
 //
 //   miner      keeps LiveChain producing blocks (paced to blocks_per_s)
 //   follower   tails the chain via BlockFollower, pushes fresh addresses
 //   generator  open-loop arrivals (LoadGenerator schedule): each arrival
-//              re-queries a known address or pops a fresh one, submits to
-//              the ScoringEngine, pushes the future
-//   collector  resolves futures, tallies completed/failed/shed
+//              re-queries a known address or pops a fresh one and submits
+//              it to the ScoringEngine
+//
+// The engine's completion tallies each outcome on the worker that scored
+// it. At most kMaxInFlight submissions are unresolved at once; the
+// generator waits for a free slot, which is the pipeline's backpressure.
 //
 // The drain protocol runs strictly upstream-to-downstream: stop the miner,
 // let the follower surface the last blocks and close the address queue,
 // let the generator flush every remaining fresh address (so after a full
 // drain fresh_submits == follower.forwarded — an asserted invariant), then
-// close the future queue and let the collector finish. No stage is ever
+// wait until every submission's completion has run. No stage is ever
 // cancelled with work still owed to it; the accounting identity
 // submitted == completed + failed + shed holds at the end of every run.
 //
@@ -26,8 +29,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
-#include <future>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -55,12 +59,11 @@ struct StreamConfig {
   /// for tests and smoke benches where only the accounting matters.
   bool paced = true;
   std::size_t address_queue_capacity = 4096;
-  std::size_t future_queue_capacity = 8192;
   /// Stop mining after this many blocks (0 = mine until drain).
   std::uint64_t max_blocks = 0;
   /// Stop generating after this many submissions (0 = until drain).
   std::uint64_t max_requests = 0;
-  /// Sliding window over collector outcomes (rate, error ratio,
+  /// Sliding window over scored outcomes (rate, error ratio,
   /// latency quantiles for the last window_seconds).
   obs::WindowConfig window;
   /// SLO targets evaluated over that window. "Error" here means a
@@ -121,16 +124,20 @@ class StreamCoordinator {
   StreamCoordinator(const StreamCoordinator&) = delete;
   StreamCoordinator& operator=(const StreamCoordinator&) = delete;
 
-  /// Launches the four pipeline threads. Throws StateError on re-start.
+  /// Unresolved submissions allowed at once (generator backpressure).
+  static constexpr std::size_t kMaxInFlight = 8192;
+
+  /// Launches the three pipeline threads. Throws StateError on re-start.
   void start();
 
-  /// True once the generator and collector finished on their own
-  /// (max_blocks/max_requests reached and every future resolved). Poll
-  /// this to detect natural completion, then drain() to join.
+  /// True once the generator finished on its own (max_blocks/max_requests
+  /// reached) and every submission's completion ran. Poll this to detect
+  /// natural completion, then drain() to join.
   bool finished() const;
 
-  /// Graceful stop: miner → follower → generator flush → collector, in
-  /// order, joining each. Idempotent; also run by the destructor.
+  /// Graceful stop: miner → follower → generator flush, in order, joining
+  /// each, then waits for every in-flight completion. Idempotent; also run
+  /// by the destructor.
   void drain();
 
   /// Valid after drain().
@@ -139,7 +146,7 @@ class StreamCoordinator {
   /// Per-stage stream_* counters/gauges (live during the run).
   obs::MetricsRegistry& registry() { return metrics_.registry; }
 
-  /// Windowed aggregation over collector outcomes (live during the run).
+  /// Windowed aggregation over scored outcomes (live during the run).
   const obs::SlidingWindowAggregator& window() const { return window_; }
 
   /// Evaluates the SLO over the current window and publishes the result
@@ -188,13 +195,13 @@ class StreamCoordinator {
   void miner_loop();
   void follower_loop();
   void generator_loop();
-  void collector_loop();
-  /// One submission from the generator thread; false when the engine
-  /// stopped accepting work or the future queue closed. `ctx` continues a
-  /// lane minted at ingest (fresh pops); requeries pass none and the
-  /// engine mints at admission.
+  /// One submission from the generator thread, once an in-flight slot is
+  /// free; false when the engine stopped accepting work. `ctx` continues
+  /// an ingest lane (fresh pops); requeries pass none.
   bool submit_one(const evm::Address& address, bool fresh,
                   obs::RequestContext ctx = {});
+  void tally(const serve::ScoreResult& result);
+  void release_slot();
   /// Records how long a popped fresh address sat in the address queue
   /// (histogram + "req.addr_queue" stage slice + flow step).
   void note_addr_queue_wait(StampedAddress& stamped);
@@ -207,7 +214,10 @@ class StreamCoordinator {
   StreamMetrics metrics_;
 
   BoundedQueue<StampedAddress> addresses_;
-  BoundedQueue<std::future<serve::ScoreResult>> futures_;
+
+  mutable std::mutex flight_mutex_;
+  std::condition_variable flight_cv_;
+  std::size_t in_flight_ = 0;  ///< submitted, completion not yet run
 
   obs::SlidingWindowAggregator window_;
   obs::SloEvaluator slo_;      ///< evaluates window_; guarded by slo_mutex_
@@ -220,7 +230,6 @@ class StreamCoordinator {
   std::atomic<bool> drain_requested_{false};
   std::atomic<bool> miner_done_{false};
   std::atomic<bool> generator_done_{false};
-  std::atomic<bool> collector_done_{false};
 
   /// Generator-thread state (touched only there, read after join).
   std::vector<evm::Address> known_;
@@ -231,7 +240,6 @@ class StreamCoordinator {
   std::thread miner_thread_;
   std::thread follower_thread_;
   std::thread generator_thread_;
-  std::thread collector_thread_;
 };
 
 }  // namespace phishinghook::stream

@@ -20,6 +20,7 @@
 #include "serve/cascade.hpp"
 #include "serve/scoring_engine.hpp"
 #include "synth/dataset_builder.hpp"
+#include "submit_future.hpp"
 
 namespace phishinghook {
 namespace {
@@ -407,14 +408,16 @@ TEST_F(CascadeEngineTest, ResultCarriesStageAndModelThroughCache) {
   config.workers = 1;
   serve::ScoringEngine engine(*dataset().explorer, scorer, config);
 
-  const serve::ScoreResult first = engine.submit(addresses_.front()).get();
+  const serve::ScoreResult first =
+      submit_future(engine, addresses_.front()).get();
   EXPECT_EQ(first.status, serve::ScoreStatus::kOk);
   EXPECT_EQ(first.stage, 1u);
   EXPECT_EQ(first.model, "heavy-model");
   EXPECT_FALSE(first.cache_hit);
 
   // The cache remembers the stage, so a hit reports the same attribution.
-  const serve::ScoreResult second = engine.submit(addresses_.front()).get();
+  const serve::ScoreResult second =
+      submit_future(engine, addresses_.front()).get();
   EXPECT_TRUE(second.cache_hit);
   EXPECT_EQ(second.stage, 1u);
   EXPECT_EQ(second.model, "heavy-model");
@@ -437,7 +440,7 @@ TEST_F(CascadeEngineTest, HeavyFaultDegradesIsNotCachedAndHeals) {
 
   // First request: the heavy stage throws, the row degrades to stage 0.
   const serve::ScoreResult degraded =
-      engine.submit(addresses_.front()).get();
+      submit_future(engine, addresses_.front()).get();
   EXPECT_EQ(degraded.status, serve::ScoreStatus::kDegraded);
   EXPECT_TRUE(degraded.ok());
   EXPECT_EQ(degraded.probability, direct.front());
@@ -447,14 +450,16 @@ TEST_F(CascadeEngineTest, HeavyFaultDegradesIsNotCachedAndHeals) {
 
   // Degraded scores are not cached: the same address retries the heavy
   // stage (now healed) instead of serving the fallback from the cache.
-  const serve::ScoreResult healed = engine.submit(addresses_.front()).get();
+  const serve::ScoreResult healed =
+      submit_future(engine, addresses_.front()).get();
   EXPECT_EQ(healed.status, serve::ScoreStatus::kOk);
   EXPECT_FALSE(healed.cache_hit);
   EXPECT_EQ(healed.stage, 1u);
   EXPECT_EQ(healed.probability, 0.9);
 
   // The healthy score does land in the cache.
-  const serve::ScoreResult cached = engine.submit(addresses_.front()).get();
+  const serve::ScoreResult cached =
+      submit_future(engine, addresses_.front()).get();
   EXPECT_TRUE(cached.cache_hit);
   EXPECT_EQ(cached.stage, 1u);
   EXPECT_EQ(cached.probability, 0.9);

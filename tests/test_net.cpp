@@ -1,9 +1,11 @@
 // Network-layer tests: JSON document model, the event-loop scrape server
 // (with regressions for the four bugs the blocking PR-8 implementation
 // shipped: HEAD-as-GET, EINTR-aborted writes, unbounded stop() on a
-// stalled peer, split-request mis-parse), and the JSON-RPC 2.0 front door
-// (protocol errors, batches, sheds, keep-alive, disconnects, and a
-// concurrent-clients hammer the TSan leg runs).
+// stalled peer, split-request mis-parse), the JSON-RPC 2.0 front door
+// (protocol errors, batches, deferred replies, keep-alive, disconnects, and
+// a concurrent-clients hammer the TSan leg runs), and the scoring methods
+// RpcFrontend serves on it (sheds, engine shutdown, stop() with a reply
+// owed, one trace lane per frame).
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -13,19 +15,32 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
-#include <future>
+#include <map>
+#include <memory>
+#include <mutex>
+#include <optional>
+#include <span>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "chain/chain_store.hpp"
+#include "chain/explorer.hpp"
 #include "common/errors.hpp"
+#include "ml/scorer.hpp"
 #include "net/event_loop.hpp"
 #include "net/json.hpp"
 #include "net/json_rpc_server.hpp"
 #include "net/scrape_server.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
+#include "request_lanes.hpp"
+#include "serve/rpc_frontend.hpp"
+#include "serve/scoring_engine.hpp"
 
 namespace {
 
@@ -269,49 +284,76 @@ TEST_F(ScrapeRegressionTest, RequestSplitAcrossSegmentsParses) {
 
 class JsonRpcTest : public ::testing::Test {
  protected:
+  using Reply = net::JsonRpcServer::Reply;
+  using CallInfo = net::JsonRpcServer::CallInfo;
+
   void start(net::RpcConfig config = {}) {
     server_ = std::make_unique<net::JsonRpcServer>(config);
     server_->register_method(
-        "echo", [this](const net::JsonValue& params,
-                       const net::JsonRpcServer::CallInfo&) {
+        "echo", [this](const net::JsonValue& params, const CallInfo&,
+                       const Reply& reply) {
           echo_calls_.fetch_add(1, std::memory_order_relaxed);
-          return params;
+          reply.result(params);
+        });
+    // Deferred replies: the handler returns at once and the answer comes
+    // later from another thread, the way the scoring engine's completion
+    // answers phook_score.
+    server_->register_method(
+        "gate", [this](const net::JsonValue&, const CallInfo&, Reply reply) {
+          {
+            std::lock_guard<std::mutex> lock(gate_mutex_);
+            gated_.push_back(std::move(reply));
+          }
+          gate_cv_.notify_all();
         });
     server_->register_method(
-        "gate", [this](const net::JsonValue&,
-                       const net::JsonRpcServer::CallInfo&) {
-          gate_entered_.set_value();
-          gate_.get_future().wait();
-          return net::JsonValue::string("opened");
+        "slow", [this](const net::JsonValue&, const CallInfo&, Reply reply) {
+          std::lock_guard<std::mutex> lock(gate_mutex_);
+          repliers_.emplace_back([reply = std::move(reply)] {
+            std::this_thread::sleep_for(std::chrono::milliseconds(50));
+            reply.result(net::JsonValue::string("done"));
+          });
         });
     server_->register_method(
-        "slow", [](const net::JsonValue&,
-                   const net::JsonRpcServer::CallInfo&) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(50));
-          return net::JsonValue::string("done");
-        });
-    server_->register_method(
-        "boom", [](const net::JsonValue&,
-                   const net::JsonRpcServer::CallInfo&) -> net::JsonValue {
-          throw std::runtime_error("kaboom");
-        });
+        "boom", [](const net::JsonValue&, const CallInfo&,
+                   const Reply&) { throw std::runtime_error("kaboom"); });
     server_->start(0);
   }
   void TearDown() override {
-    // A still-armed gate would deadlock a dispatcher on stop.
-    if (!gate_released_) gate_.set_value();
+    // An unanswered gate would hold stop() forever: it waits for every
+    // frame in flight to reply.
+    release_gate();
+    std::vector<std::thread> repliers;
+    {
+      std::lock_guard<std::mutex> lock(gate_mutex_);
+      repliers.swap(repliers_);
+    }
+    for (std::thread& t : repliers) t.join();
     if (server_) server_->stop();
   }
+  /// Blocks until `n` gate calls are parked.
+  void wait_gated(std::size_t n) {
+    std::unique_lock<std::mutex> lock(gate_mutex_);
+    gate_cv_.wait(lock, [&] { return gated_.size() >= n; });
+  }
+  /// Answers every parked gate call from the test thread.
   void release_gate() {
-    gate_.set_value();
-    gate_released_ = true;
+    std::vector<Reply> gated;
+    {
+      std::lock_guard<std::mutex> lock(gate_mutex_);
+      gated.swap(gated_);
+    }
+    for (const Reply& reply : gated) {
+      reply.result(net::JsonValue::string("opened"));
+    }
   }
 
   std::unique_ptr<net::JsonRpcServer> server_;
   std::atomic<int> echo_calls_{0};
-  std::promise<void> gate_;
-  std::promise<void> gate_entered_;
-  bool gate_released_ = false;
+  std::mutex gate_mutex_;
+  std::condition_variable gate_cv_;
+  std::vector<Reply> gated_;
+  std::vector<std::thread> repliers_;
 };
 
 TEST_F(JsonRpcTest, EchoRoundTripAndIdFidelity) {
@@ -413,9 +455,6 @@ TEST_F(JsonRpcTest, TransportRulesEnforced) {
   net::RpcConfig config;
   config.max_body_bytes = 512;
   TearDown();
-  gate_ = std::promise<void>();
-  gate_entered_ = std::promise<void>();
-  gate_released_ = false;
   start(config);
   EXPECT_NE(round_trip(server_->port(),
                        "POST / HTTP/1.1\r\nHost: x\r\nContent-Length: "
@@ -444,71 +483,56 @@ TEST_F(JsonRpcTest, KeepAliveServesSequentialRequests) {
   EXPECT_EQ(server_->connections_accepted(), 1u);
 }
 
-TEST_F(JsonRpcTest, FullDispatchQueueSheds503) {
-  net::RpcConfig config;
-  config.dispatchers = 1;
-  config.queue_capacity = 1;
-  start(config);
-  // r1 occupies the only dispatcher inside the gate...
-  std::thread r1([&] {
-    rpc_post(server_->port(), R"({"jsonrpc":"2.0","id":1,"method":"gate"})");
-  });
-  gate_entered_.get_future().wait();
-  // ...r2 fills the queue's single slot...
-  const int r2 = connect_loopback(server_->port());
-  ASSERT_GE(r2, 0);
-  const std::string body2 = R"({"jsonrpc":"2.0","id":2,"method":"echo"})";
-  send_all(r2, "POST / HTTP/1.1\r\nHost: x\r\nContent-Length: " +
-                   std::to_string(body2.size()) +
-                   "\r\nConnection: close\r\n\r\n" + body2);
-  while (server_->requests_received() < 2) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+// Handlers run on the loop thread and never block it: while one call's
+// reply is deferred, other connections are still parsed and answered.
+TEST_F(JsonRpcTest, DeferredReplyDoesNotHoldOtherConnections) {
+  start();
+  const int gated = connect_loopback(server_->port());
+  ASSERT_GE(gated, 0);
+  const std::string body = R"({"jsonrpc":"2.0","id":1,"method":"gate"})";
+  send_all(gated, "POST / HTTP/1.1\r\nHost: x\r\nContent-Length: " +
+                      std::to_string(body.size()) +
+                      "\r\nConnection: close\r\n\r\n" + body);
+  wait_gated(1);
+  for (int i = 0; i < 3; ++i) {
+    const std::string served = rpc_post(
+        server_->port(),
+        R"({"jsonrpc":"2.0","id":)" + std::to_string(10 + i) +
+            R"(,"method":"echo","params":[]})");
+    EXPECT_NE(served.find("\"id\":" + std::to_string(10 + i)),
+              std::string::npos)
+        << served;
   }
-  // ...so r3 must be shed at admission, immediately, with the engine's
-  // shed vocabulary (503 / -32005) — not queued behind the gate.
-  const std::string shed = rpc_post(
-      server_->port(), R"({"jsonrpc":"2.0","id":3,"method":"echo"})");
-  EXPECT_NE(shed.find("503"), std::string::npos) << shed;
-  EXPECT_NE(shed.find("-32005"), std::string::npos);
   release_gate();
-  const std::string served = recv_to_eof(r2);
-  ::close(r2);
-  EXPECT_NE(served.find("\"id\":2"), std::string::npos) << served;
-  r1.join();
+  const std::string opened = recv_to_eof(gated);
+  ::close(gated);
+  EXPECT_NE(opened.find("\"result\":\"opened\""), std::string::npos)
+      << opened;
   EXPECT_EQ(server_->metrics_registry()
-                .counter("net_requests_shed")
-                .value(),
-            1u);
+                .histogram("net_stage_service_us",
+                           obs::label("stage", "handle"))
+                .count(),
+            4u);
 }
 
-TEST_F(JsonRpcTest, ExpiredDeadlineShedsBeforeHandlerRuns) {
-  net::RpcConfig config;
-  config.dispatchers = 1;
-  config.request_deadline_us = 5000;  // 5ms
-  start(config);
-  std::thread r1([&] {
-    rpc_post(server_->port(), R"({"jsonrpc":"2.0","id":1,"method":"gate"})");
-  });
-  gate_entered_.get_future().wait();
-  // r2 queues behind the gate and ages past its deadline.
-  const int r2 = connect_loopback(server_->port());
-  ASSERT_GE(r2, 0);
-  const std::string body2 = R"({"jsonrpc":"2.0","id":2,"method":"echo"})";
-  send_all(r2, "POST / HTTP/1.1\r\nHost: x\r\nContent-Length: " +
-                   std::to_string(body2.size()) +
-                   "\r\nConnection: close\r\n\r\n" + body2);
-  while (server_->requests_received() < 2) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  release_gate();
-  const std::string response = recv_to_eof(r2);
-  ::close(r2);
-  r1.join();
-  EXPECT_NE(response.find("-32005"), std::string::npos) << response;
-  // The whole point of the deadline: no handler work for a request the
-  // client has already given up on.
-  EXPECT_EQ(echo_calls_.load(), 0);
+// A handler that replies and then throws, or replies twice, still gets
+// exactly one response: the first answer counts.
+TEST(JsonRpcReply, FirstAnswerWins) {
+  net::JsonRpcServer server;
+  server.register_method(
+      "twice", [](const net::JsonValue&, const net::JsonRpcServer::CallInfo&,
+                  const net::JsonRpcServer::Reply& reply) {
+        reply.result(net::JsonValue::string("first"));
+        reply.result(net::JsonValue::string("second"));
+        throw std::runtime_error("late throw");
+      });
+  server.start(0);
+  const std::string body = body_of(rpc_post(
+      server.port(), R"({"jsonrpc":"2.0","id":5,"method":"twice"})"));
+  server.stop();
+  EXPECT_NE(body.find("\"result\":\"first\""), std::string::npos) << body;
+  EXPECT_EQ(body.find("second"), std::string::npos) << body;
+  EXPECT_EQ(body.find("late throw"), std::string::npos) << body;
 }
 
 TEST_F(JsonRpcTest, ClientDisconnectMidResponseLeavesServerHealthy) {
@@ -521,19 +545,17 @@ TEST_F(JsonRpcTest, ClientDisconnectMidResponseLeavesServerHealthy) {
                    std::to_string(body.size()) +
                    "\r\nConnection: close\r\n\r\n" + body);
   ::close(fd);
-  // The dispatcher finishes the handler, the posted response is dropped
-  // on the dead connection, and the server keeps serving.
+  // The deferred reply lands after the peer left: the posted response is
+  // dropped on the dead connection, and the server keeps serving.
   const std::string after = rpc_post(
       server_->port(), R"({"jsonrpc":"2.0","id":2,"method":"echo"})");
   EXPECT_NE(after.find("\"id\":2"), std::string::npos) << after;
 }
 
-// The TSan leg runs this: many client threads against the dispatcher pool
-// exercises queue hand-off, with_connection re-entry, and metric writes.
+// The TSan leg runs this: many client threads against the one loop thread
+// exercise with_connection re-entry, frame completion and metric writes.
 TEST_F(JsonRpcTest, ConcurrentClientsAllGetTheirOwnResponses) {
-  net::RpcConfig config;
-  config.dispatchers = 4;
-  start(config);
+  start();
   constexpr int kThreads = 8;
   constexpr int kRequests = 25;
   std::atomic<int> mismatches{0};
@@ -569,6 +591,341 @@ TEST(JsonRpcLifecycle, StartTwiceThrowsAndStopIsIdempotent) {
   EXPECT_THROW(server.start(0), StateError);
   server.stop();
   server.stop();
+}
+
+// --- RpcFrontend: the scoring methods on the completion API -----------------
+
+/// P(phishing) = first byte / 100, so every verdict is checkable by hand.
+class FirstByteScorer final : public ml::Scorer {
+ public:
+  void score_batch(const ml::BytecodeBatchView& view,
+                   std::span<ml::ScoredRow> out) override {
+    for (std::size_t i = 0; i < view.size(); ++i) {
+      out[i] = ml::ScoredRow{static_cast<double>(view[i].bytes()[0]) / 100.0,
+                             0, false};
+    }
+  }
+  std::string name() const override { return "first-byte"; }
+};
+
+/// Explorer whose eth_getCode can be held shut, so a test decides how long
+/// a row stays inside the engine.
+class GatedExplorer final : public chain::Explorer {
+ public:
+  using chain::Explorer::Explorer;
+
+  std::string eth_get_code(const evm::Address& address) const override {
+    std::unique_lock<std::mutex> lock(mutex_);
+    ++entered_;
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return open_; });
+    return chain::Explorer::eth_get_code(address);
+  }
+  void close() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    open_ = false;
+  }
+  void open() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+  /// Blocks until `n` fetches have reached the gate.
+  void wait_entered(std::size_t n) const {
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait(lock, [&] { return entered_ >= n; });
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  mutable std::condition_variable cv_;
+  mutable std::size_t entered_ = 0;
+  bool open_ = true;
+};
+
+class RpcFrontendTest : public ::testing::Test {
+ protected:
+  RpcFrontendTest() {
+    const evm::Address deployer =
+        evm::Address::from_hex("0x00000000000000000000000000000000000000d0");
+    for (int i = 0; i < 64; ++i) {
+      const auto first = static_cast<std::uint8_t>(i + 1);
+      addresses_.push_back(
+          chain_
+              .register_contract(deployer,
+                                 evm::Bytecode({first, 0x60, 0x00, 0x60, 0x00}))
+              .address);
+    }
+  }
+
+  void start(serve::EngineConfig config = {}) {
+    engine_ = std::make_unique<serve::ScoringEngine>(explorer_, scorer_,
+                                                     config);
+    frontend_ = std::make_unique<serve::RpcFrontend>(*engine_);
+    frontend_->start(0);
+  }
+  /// Front end first, then the engine — the order a real stack stops in.
+  void stop() {
+    explorer_.open();
+    if (frontend_) frontend_->stop();
+    if (engine_) engine_->shutdown();
+  }
+  void TearDown() override { stop(); }
+
+  std::uint16_t port() const { return frontend_->port(); }
+
+  /// The verdict FirstByteScorer gives addresses_[i].
+  static double expected(std::size_t i) {
+    return static_cast<double>(i + 1) / 100.0;
+  }
+
+  std::string quoted(std::size_t i) const {
+    return "\"" + addresses_[i].to_hex() + "\"";
+  }
+  std::string score_body(std::size_t i) const {
+    return R"({"jsonrpc":"2.0","id":1,"method":"phook_score","params":[)" +
+           quoted(i) + "]}";
+  }
+  /// phook_scoreBatch over n entries, cycling through addresses_.
+  std::string batch_body(std::size_t n) const {
+    std::string list;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i > 0) list += ',';
+      list += quoted(i % addresses_.size());
+    }
+    return R"({"jsonrpc":"2.0","id":2,"method":"phook_scoreBatch","params":[[)" +
+           list + "]]}";
+  }
+
+  bool accounting_ok() const {
+    const serve::ServiceMetrics& m = engine_->metrics();
+    return m.requests_submitted.value() ==
+           m.requests_completed.value() + m.requests_failed.value() +
+               m.requests_shed.value();
+  }
+
+  chain::ChainStore chain_;
+  GatedExplorer explorer_{chain_};
+  FirstByteScorer scorer_;
+  std::vector<evm::Address> addresses_;
+  std::unique_ptr<serve::ScoringEngine> engine_;
+  std::unique_ptr<serve::RpcFrontend> frontend_;
+};
+
+/// Parses an HTTP response's JSON body; fails the test when it is not JSON.
+net::JsonValue json_body(const std::string& response) {
+  std::string error;
+  std::optional<net::JsonValue> doc =
+      net::JsonValue::parse(body_of(response), &error);
+  EXPECT_TRUE(doc.has_value()) << error << "\n" << response;
+  return doc ? std::move(*doc) : net::JsonValue::null();
+}
+
+std::size_t count_of(const std::string& haystack, const std::string& needle) {
+  std::size_t n = 0;
+  for (std::size_t at = haystack.find(needle); at != std::string::npos;
+       at = haystack.find(needle, at + 1)) {
+    ++n;
+  }
+  return n;
+}
+
+TEST_F(RpcFrontendTest, ScoreReturnsTheEngineVerdict) {
+  start();
+  const net::JsonValue doc = json_body(rpc_post(port(), score_body(6)));
+  const net::JsonValue* result = doc.find("result");
+  ASSERT_NE(result, nullptr);
+  EXPECT_EQ(result->find("status")->as_string(), "ok");
+  EXPECT_EQ(result->find("address")->as_string(), addresses_[6].to_hex());
+  EXPECT_EQ(result->find("probability")->as_number(), expected(6));
+  EXPECT_EQ(result->find("model")->as_string(), "first-byte");
+  EXPECT_GT(result->find("trace_id")->as_number(), 0.0);
+  EXPECT_EQ(engine_->metrics().requests_completed.value(), 1u);
+}
+
+TEST_F(RpcFrontendTest, ScoreBatchAnswersAnInvalidEntryInPlace) {
+  start();
+  const std::string body =
+      R"({"jsonrpc":"2.0","id":3,"method":"phook_scoreBatch","params":[[)" +
+      quoted(0) + R"(,"0xnot-an-address",)" + quoted(1) + "," + quoted(2) +
+      "]]}";
+  const net::JsonValue doc = json_body(rpc_post(port(), body));
+  const net::JsonValue* result = doc.find("result");
+  ASSERT_NE(result, nullptr) << doc.dump();
+  const net::JsonValue::Array& rows = result->as_array();
+  ASSERT_EQ(rows.size(), 4u);
+  EXPECT_EQ(rows[1].find("status")->as_string(), "invalid_address");
+  EXPECT_EQ(rows[1].find("address")->as_string(), "0xnot-an-address");
+  // The valid rows keep their positions and their own verdicts.
+  const std::size_t valid[][2] = {{0, 0}, {2, 1}, {3, 2}};
+  for (const auto& [row, address] : valid) {
+    EXPECT_EQ(rows[row].find("status")->as_string(), "ok") << row;
+    EXPECT_EQ(rows[row].find("address")->as_string(),
+              addresses_[address].to_hex());
+    EXPECT_EQ(rows[row].find("probability")->as_number(), expected(address));
+  }
+  EXPECT_EQ(engine_->metrics().requests_submitted.value(), 3u);
+}
+
+TEST_F(RpcFrontendTest, EngineQueueShedShowsAsStatusShed) {
+  serve::EngineConfig config;
+  config.workers = 1;
+  config.max_batch = 1;
+  config.max_queue = 2;
+  explorer_.close();
+  start(config);
+  // One row holds the only worker at the gate...
+  const int held = connect_loopback(port());
+  ASSERT_GE(held, 0);
+  const std::string held_body = score_body(9);
+  send_all(held, "POST / HTTP/1.1\r\nHost: x\r\nContent-Length: " +
+                     std::to_string(held_body.size()) +
+                     "\r\nConnection: close\r\n\r\n" + held_body);
+  explorer_.wait_entered(1);
+  // ...so of the next three rows two fill the queue and the third is shed
+  // on admission.
+  std::string batch;
+  std::thread client([&] { batch = rpc_post(port(), batch_body(3)); });
+  while (engine_->metrics().requests_shed.value() == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  explorer_.open();
+  client.join();
+  const std::string held_response = recv_to_eof(held);
+  ::close(held);
+
+  const net::JsonValue doc = json_body(batch);
+  ASSERT_NE(doc.find("result"), nullptr) << batch;
+  const net::JsonValue::Array& rows = doc.find("result")->as_array();
+  ASSERT_EQ(rows.size(), 3u);
+  EXPECT_EQ(rows[0].find("status")->as_string(), "ok");
+  EXPECT_EQ(rows[1].find("status")->as_string(), "ok");
+  EXPECT_EQ(rows[2].find("status")->as_string(), "shed");
+  EXPECT_NE(rows[2].find("error")->as_string().find("queue full"),
+            std::string::npos);
+  EXPECT_NE(held_response.find("\"status\":\"ok\""), std::string::npos)
+      << held_response;
+  stop();
+  EXPECT_EQ(engine_->metrics().requests_submitted.value(), 4u);
+  EXPECT_EQ(engine_->metrics().requests_shed.value(), 1u);
+  EXPECT_TRUE(accounting_ok());
+}
+
+// The engine begins shutting down while a batch is being submitted: rows
+// already accepted still land, the rest are refused, and the call gets one
+// -32005 answer once the last accepted row is in. Shutdown starts as soon
+// as the first row is in, from another thread, and submitting 8,192 rows
+// takes the loop thread milliseconds — but where it lands is still a race,
+// so each attempt checks whichever side it fell on, and the test needs one
+// attempt to land mid-batch.
+TEST_F(RpcFrontendTest, EngineShutdownMidBatchAnswersOnceWithShed) {
+  constexpr std::size_t kRows = 8192;
+  serve::EngineConfig config;
+  config.workers = 1;
+  bool mid_batch = false;
+  for (int attempt = 0; attempt < 10 && !mid_batch; ++attempt) {
+    explorer_.close();
+    start(config);
+    std::atomic<bool> shutting_down{false};
+    std::thread stopper([&] {
+      while (engine_->metrics().requests_submitted.value() == 0) {
+        std::this_thread::yield();
+      }
+      shutting_down.store(true);
+      engine_->shutdown();  // returns once the gate opens and rows land
+    });
+    std::string response;
+    std::thread client(
+        [&] { response = rpc_post(port(), batch_body(kRows)); });
+    while (!shutting_down.load()) std::this_thread::yield();
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    explorer_.open();
+    client.join();
+    stopper.join();
+
+    EXPECT_EQ(count_of(response, "HTTP/1.1 "), 1u) << response;
+    EXPECT_EQ(count_of(response, "\"jsonrpc\""), 1u) << response;
+    const std::uint64_t accepted =
+        engine_->metrics().requests_submitted.value();
+    if (accepted < kRows) {
+      mid_batch = true;
+      EXPECT_NE(response.find("-32005"), std::string::npos) << response;
+      EXPECT_EQ(response.find("\"result\""), std::string::npos) << response;
+    } else {
+      EXPECT_EQ(count_of(response, "\"status\":\"ok\""), kRows);
+    }
+    EXPECT_TRUE(accounting_ok());
+    EXPECT_EQ(engine_->metrics().requests_completed.value(), accepted);
+    stop();
+    frontend_.reset();
+    engine_.reset();
+  }
+  EXPECT_TRUE(mid_batch) << "shutdown never landed inside the batch";
+}
+
+// The TSan leg runs this: stop() races a completion on an engine worker.
+TEST_F(RpcFrontendTest, StopReturnsOnlyAfterTheInFlightResponseIsWritten) {
+  serve::EngineConfig config;
+  config.workers = 1;
+  explorer_.close();
+  start(config);
+  const int fd = connect_loopback(port());
+  ASSERT_GE(fd, 0);
+  const std::string body = score_body(3);
+  send_all(fd, "POST / HTTP/1.1\r\nHost: x\r\nContent-Length: " +
+                   std::to_string(body.size()) +
+                   "\r\nConnection: close\r\n\r\n" + body);
+  explorer_.wait_entered(1);
+
+  std::atomic<bool> stopped{false};
+  std::thread stopper([&] {
+    frontend_->stop();
+    stopped.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(stopped.load()) << "stop() returned with a reply still owed";
+  // While stopping, a new frame is refused instead of joining the wait.
+  const std::string refused = rpc_post(
+      port(), R"({"jsonrpc":"2.0","id":7,"method":"phook_health"})");
+  EXPECT_NE(refused.find("503"), std::string::npos) << refused;
+  EXPECT_NE(refused.find("-32005"), std::string::npos) << refused;
+
+  explorer_.open();
+  stopper.join();
+  // stop() has returned, so the response already sits in our socket.
+  const std::string response = recv_to_eof(fd);
+  ::close(fd);
+  const net::JsonValue doc = json_body(response);
+  ASSERT_NE(doc.find("result"), nullptr) << response;
+  EXPECT_EQ(doc.find("result")->find("probability")->as_number(),
+            expected(3));
+}
+
+// One socket frame is one trace lane, however many rows it fans out to:
+// the server mints it, the engine only adds stage slices, and the server
+// closes it once, when the response is built.
+TEST_F(RpcFrontendTest, EachFrameClosesItsTraceLaneExactlyOnce) {
+  obs::Tracer& tracer = obs::Tracer::global();
+  tracer.enable(1 << 16);
+  start();
+  const std::string single = rpc_post(port(), score_body(0));
+  const std::string batch = rpc_post(port(), batch_body(64));
+  stop();
+  tracer.disable();
+  std::ostringstream out;
+  tracer.write_chrome_trace(out);
+  tracer.clear();
+
+  EXPECT_NE(single.find("\"status\":\"ok\""), std::string::npos) << single;
+  EXPECT_EQ(count_of(batch, "\"status\":\"ok\""), 64u) << batch;
+  const std::map<std::string, LaneCount> lanes = request_lanes(out.str());
+  EXPECT_EQ(lanes.size(), 2u);
+  for (const auto& [id, lane] : lanes) {
+    EXPECT_EQ(lane.begins, 1) << "lane " << id;
+    EXPECT_EQ(lane.ends, 1) << "lane " << id;
+  }
 }
 
 }  // namespace

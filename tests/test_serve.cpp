@@ -18,6 +18,7 @@
 #include "serve/score_cache.hpp"
 #include "serve/scoring_engine.hpp"
 #include "synth/dataset_builder.hpp"
+#include "submit_future.hpp"
 
 namespace phishinghook {
 namespace {
@@ -393,7 +394,7 @@ TEST_F(ScoringEngineTest, MultiProducerMultiWorkerMatchesSingleThreaded) {
       producers.emplace_back([&, p] {
         std::vector<std::future<serve::ScoreResult>> futures;
         for (const evm::Address& address : addresses_) {
-          futures.push_back(engine.submit(address));
+          futures.push_back(submit_future(engine, address));
         }
         for (auto& future : futures) {
           per_producer[p].push_back(future.get());
@@ -427,8 +428,8 @@ TEST_F(ScoringEngineTest, CacheHitsAreMarkedAndDeduplicated) {
   serve::ScoringEngine engine(*dataset().explorer, *adapter_, config);
 
   const evm::Address target = addresses_.front();
-  const serve::ScoreResult first = engine.submit(target).get();
-  const serve::ScoreResult second = engine.submit(target).get();
+  const serve::ScoreResult first = submit_future(engine, target).get();
+  const serve::ScoreResult second = submit_future(engine, target).get();
   EXPECT_FALSE(first.cache_hit);
   EXPECT_TRUE(second.cache_hit);
   EXPECT_EQ(first.probability, second.probability);
@@ -439,7 +440,7 @@ TEST_F(ScoringEngineTest, EmptyCodeIsScoredZeroNotCrashed) {
   config.workers = 1;
   serve::ScoringEngine engine(*dataset().explorer, *adapter_, config);
   const serve::ScoreResult result =
-      engine.submit(evm::Address::from_hex(
+      submit_future(engine, evm::Address::from_hex(
                         "0x00000000000000000000000000000000000000ff"))
           .get();
   EXPECT_EQ(result.status, serve::ScoreStatus::kEmptyCode);
@@ -449,14 +450,24 @@ TEST_F(ScoringEngineTest, EmptyCodeIsScoredZeroNotCrashed) {
   EXPECT_EQ(engine.metrics().empty_code_requests.value(), 1u);
 }
 
-TEST_F(ScoringEngineTest, SubmitAfterShutdownThrows) {
+TEST_F(ScoringEngineTest, SubmitAfterShutdownIsRefused) {
   serve::EngineConfig config;
   config.workers = 2;
   serve::ScoringEngine engine(*dataset().explorer, *adapter_, config);
-  engine.submit(addresses_.front()).get();
+  submit_future(engine, addresses_.front()).get();
   engine.shutdown();
   engine.shutdown();  // idempotent
-  EXPECT_THROW(engine.submit(addresses_.front()), StateError);
+  bool ran = false;
+  EXPECT_FALSE(engine.try_submit(addresses_.front(), obs::RequestContext{},
+                                 [&ran](serve::ScoreResult) { ran = true; }));
+  EXPECT_FALSE(ran);  // a refused submission never runs its completion
+  EXPECT_EQ(engine.metrics().requests_submitted.value(), 1u);
+  // score_all answers refused rows itself, outside the engine's counters.
+  const std::vector<serve::ScoreResult> late = engine.score_all(addresses_);
+  ASSERT_EQ(late.size(), addresses_.size());
+  EXPECT_EQ(late.front().status, serve::ScoreStatus::kShed);
+  EXPECT_EQ(late.front().address, addresses_.front());
+  EXPECT_EQ(engine.metrics().requests_submitted.value(), 1u);
 }
 
 TEST_F(ScoringEngineTest, MetricsDumpAfterTraffic) {

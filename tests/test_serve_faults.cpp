@@ -23,6 +23,7 @@
 #include "ml/random_forest.hpp"
 #include "serve/scoring_engine.hpp"
 #include "synth/dataset_builder.hpp"
+#include "submit_future.hpp"
 
 namespace phishinghook {
 namespace {
@@ -333,14 +334,14 @@ TEST(ChaosEngine, CacheHitsAndEmptyCodeSurviveModelFailure) {
   }
   ASSERT_NE(dataset().explorer->get_code(cold).code_hash(), warm_hash);
 
-  const serve::ScoreResult warmed = engine.submit(warm).get();
+  const serve::ScoreResult warmed = submit_future(engine, warm).get();
   ASSERT_EQ(warmed.status, serve::ScoreStatus::kOk);
 
   detector.fail = true;
-  const serve::ScoreResult hit = engine.submit(warm).get();
-  const serve::ScoreResult miss = engine.submit(cold).get();
+  const serve::ScoreResult hit = submit_future(engine, warm).get();
+  const serve::ScoreResult miss = submit_future(engine, cold).get();
   const serve::ScoreResult empty =
-      engine.submit(evm::Address::from_hex(
+      submit_future(engine, evm::Address::from_hex(
                         "0x00000000000000000000000000000000000000ff"))
           .get();
 
@@ -355,7 +356,7 @@ TEST(ChaosEngine, CacheHitsAndEmptyCodeSurviveModelFailure) {
 
   // Failures are not cached: the model heals and the cold address scores.
   detector.fail = false;
-  const serve::ScoreResult healed = engine.submit(cold).get();
+  const serve::ScoreResult healed = submit_future(engine, cold).get();
   EXPECT_EQ(healed.status, serve::ScoreStatus::kOk);
   EXPECT_FALSE(healed.cache_hit);
 
@@ -380,7 +381,7 @@ TEST(ChaosEngine, FullQueueRejectsInsteadOfGrowing) {
   const std::vector<evm::Address> addresses = all_addresses();
   std::vector<std::future<serve::ScoreResult>> futures;
   for (std::size_t i = 0; i < 16; ++i) {
-    futures.push_back(engine.submit(addresses[i]));
+    futures.push_back(submit_future(engine, addresses[i]));
   }
   std::size_t shed = 0, served = 0;
   for (auto& future : futures) {
@@ -416,7 +417,7 @@ TEST(ChaosEngine, ExpiredDeadlinesAreShedBeforeScoring) {
   const std::vector<evm::Address> addresses = all_addresses();
   std::vector<std::future<serve::ScoreResult>> futures;
   for (std::size_t i = 0; i < 8; ++i) {
-    futures.push_back(engine.submit(addresses[i]));
+    futures.push_back(submit_future(engine, addresses[i]));
   }
   std::size_t shed = 0;
   for (auto& future : futures) {
@@ -498,7 +499,8 @@ TEST(ChaosEngine, TenPercentFaultRateOverThousandSubmissionsAccountsExactly) {
       producers.emplace_back([&, p] {
         std::vector<std::future<serve::ScoreResult>> futures;
         for (std::size_t i = p; i < kSubmissions; i += kProducers) {
-          futures.push_back(engine.submit(addresses[i % addresses.size()]));
+          futures.push_back(
+              submit_future(engine, addresses[i % addresses.size()]));
         }
         std::map<serve::ScoreStatus, std::size_t> local;
         for (auto& future : futures) {

@@ -27,6 +27,8 @@
 #include "stream/bounded_queue.hpp"
 #include "stream/coordinator.hpp"
 #include "synth/dataset_builder.hpp"
+#include "request_lanes.hpp"
+#include "submit_future.hpp"
 
 namespace phishinghook {
 namespace {
@@ -431,8 +433,8 @@ TEST(StreamDedup, IdenticalBytecodeTwoAddressesOneModelRow) {
     serve::EngineConfig engine_config;
     engine_config.workers = workers;
     serve::ScoringEngine engine(explorer, detector(), engine_config);
-    const serve::ScoreResult a = engine.submit(first.address).get();
-    const serve::ScoreResult b = engine.submit(second.address).get();
+    const serve::ScoreResult a = submit_future(engine, first.address).get();
+    const serve::ScoreResult b = submit_future(engine, second.address).get();
     EXPECT_EQ(a.status, serve::ScoreStatus::kOk);
     EXPECT_EQ(b.status, serve::ScoreStatus::kOk);
     EXPECT_EQ(a.probability, b.probability);
@@ -674,6 +676,48 @@ TEST(StreamTelemetryTest, OneTraceIdConnectsAtLeastFourPipelineStages) {
   EXPECT_NE(json.find("\"bp\":\"e\""), std::string::npos);
 }
 
+// Fresh addresses carry a lane minted at ingest, which the coordinator
+// closes once the outcome is tallied; re-queries get a lane the engine
+// mints and closes itself. Either way every lane closes exactly once.
+TEST(StreamTelemetryTest, EveryRequestLaneClosesExactlyOnce) {
+  obs::Tracer& tracer = obs::Tracer::global();
+  tracer.enable(1 << 16);
+
+  stream::LiveChain live;
+  serve::EngineConfig engine_config;
+  engine_config.workers = 2;
+  serve::ScoringEngine engine(live.explorer(), detector(), engine_config);
+  stream::StreamConfig config;
+  config.paced = false;
+  config.follower.start_block = 0;
+  config.max_blocks = 10;
+  config.max_requests = 200;
+  stream::StreamCoordinator coordinator(live, engine, config);
+  coordinator.start();
+  while (!coordinator.finished()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  coordinator.drain();
+  engine.shutdown();
+  tracer.disable();
+  std::ostringstream out;
+  tracer.write_chrome_trace(out);
+  tracer.clear();
+
+  const stream::StreamReport report = coordinator.report();
+  ASSERT_TRUE(report.accounting_ok());
+  ASSERT_GT(report.fresh_submits, 0u);
+  ASSERT_GT(report.requery_submits, 0u);
+  const std::map<std::string, LaneCount> lanes = request_lanes(out.str());
+  // One lane per submission, plus one per forwarded address the run ended
+  // without submitting.
+  EXPECT_GE(lanes.size(), report.submitted);
+  for (const auto& [id, lane] : lanes) {
+    EXPECT_EQ(lane.begins, 1) << "lane " << id;
+    EXPECT_EQ(lane.ends, 1) << "lane " << id;
+  }
+}
+
 TEST(StreamTelemetryTest, WindowSloAndHealthSurfaceAfterDrain) {
   stream::LiveChain live;
   serve::EngineConfig engine_config;
@@ -729,6 +773,9 @@ TEST(StreamTelemetryTest, WindowSloAndHealthSurfaceAfterDrain) {
   EXPECT_NE(health.find("\"finished\":true"), std::string::npos);
   EXPECT_NE(health.find("\"queues\":{\"addresses\":{"), std::string::npos);
   EXPECT_NE(health.find("\"closed\":true"), std::string::npos);
+  EXPECT_NE(health.find("\"in_flight\":{\"size\":0,\"capacity\":8192}"),
+            std::string::npos)
+      << health;
 }
 
 TEST(StreamCoordinatorTest, StartTwiceThrows) {
