@@ -2,33 +2,28 @@
 // (256-entry LUT, single pass over raw bytes) histogram transforms, written
 // as BENCH_extract.json next to the binary.
 //
-// Both single-thread paths sweep the same synthesized corpus, so MB/s and
-// the speedup ratio compare like for like; a parallel transform_all row
-// reports the multi-thread throughput of the production path. ci.sh runs
-// `--smoke` and asserts the single-thread speedup floor.
+// Both paths sweep the same synthesized corpus on one thread, so MB/s and
+// the speedup ratio compare like for like. ci.sh runs `--smoke` and
+// asserts the speedup floor.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <limits>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "common/timer.hpp"
 #include "core/features.hpp"
 #include "synth/dataset_builder.hpp"
 
 namespace {
 
-using phishinghook::common::ThreadPool;
 using phishinghook::common::Timer;
 using phishinghook::core::Bytecode;
 using phishinghook::core::HistogramVocabulary;
 
 struct Row {
   std::string path;
-  std::size_t threads = 1;
   double ms = 0.0;          // one corpus sweep
   double mb_per_s = 0.0;
   double speedup = 1.0;     // vs the single-thread legacy sweep
@@ -78,7 +73,6 @@ int main(int argc, char** argv) {
   double checksum = 0.0;  // keeps the transforms observable
   std::vector<Row> rows;
 
-  ThreadPool::set_global_threads(1);
   {
     Row row;
     row.path = "legacy";
@@ -106,25 +100,10 @@ int main(int argc, char** argv) {
     row.speedup = row.ms > 0.0 ? legacy_ms / row.ms : 1.0;
     rows.push_back(row);
   }
-  // Production path at full parallelism: transform_all on the default pool.
-  ThreadPool::set_global_threads(0);
-  {
-    Row row;
-    row.path = "fast_parallel";
-    row.threads = std::max(1u, std::thread::hardware_concurrency());
-    row.ms = best_sweep_ms(reps, inner, [&] {
-      const auto m = vocab.transform_all(corpus);
-      checksum += m.at(0, 0);
-    });
-    row.mb_per_s = row.ms > 0.0 ? mb / (row.ms / 1000.0) : 0.0;
-    row.speedup = row.ms > 0.0 ? legacy_ms / row.ms : 1.0;
-    rows.push_back(row);
-  }
 
   for (const Row& row : rows) {
-    std::printf("  %-14s threads=%zu  %9.3f ms/sweep  %9.1f MB/s  %6.1fx\n",
-                row.path.c_str(), row.threads, row.ms, row.mb_per_s,
-                row.speedup);
+    std::printf("  %-14s %9.3f ms/sweep  %9.1f MB/s  %6.1fx\n",
+                row.path.c_str(), row.ms, row.mb_per_s, row.speedup);
   }
   std::printf("  (checksum %.1f)\n", checksum);
 
@@ -141,9 +120,9 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& row = rows[i];
     std::fprintf(out,
-                 "    {\"path\": \"%s\", \"threads\": %zu, \"ms\": %.4f, "
+                 "    {\"path\": \"%s\", \"threads\": 1, \"ms\": %.4f, "
                  "\"mb_per_s\": %.2f, \"speedup_vs_legacy\": %.2f}%s\n",
-                 row.path.c_str(), row.threads, row.ms, row.mb_per_s,
+                 row.path.c_str(), row.ms, row.mb_per_s,
                  row.speedup, i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");

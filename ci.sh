@@ -137,8 +137,8 @@ rows = doc["results"]
 assert rows, "empty results"
 seen = set()
 for row in rows:
-    for key in ("model", "path", "traversal", "row_block", "threads", "ms",
-                "rows_per_s", "speedup_vs_nodewalk"):
+    for key in ("model", "path", "threads", "ms", "rows_per_s",
+                "speedup_vs_nodewalk"):
         assert key in row, f"missing {key}"
     assert row["rows_per_s"] > 0, (
         f"zero throughput for {row['model']}/{row['path']}")
@@ -146,7 +146,7 @@ for row in rows:
 for model in ("random_forest", "xgboost", "lightgbm", "catboost"):
     for path in ("nodewalk", "flat"):
         assert (model, path) in seen, f"missing row {model}/{path}"
-# Enforced floor: the compiled flat traversal must beat the per-row
+# Enforced floor: the compiled flat walk must beat the per-row
 # nodewalk on EVERY model at one thread (DESIGN.md §10). The floors are
 # "never slower" (1.0), not the measured speedups (~3.3x RF, ~1.9x XGB,
 # ~1.8x LGBM, ~1.25x CatBoost on the CI box) — pinning the measured
@@ -163,8 +163,7 @@ for row in rows:
         continue
     assert row["speedup_vs_nodewalk"] >= floor, (
         f"flat inference for {row['model']} at "
-        f"{row['speedup_vs_nodewalk']:.2f}x nodewalk "
-        f"({row['traversal']}, block {row['row_block']}), below the "
+        f"{row['speedup_vs_nodewalk']:.2f}x nodewalk, below the "
         f"{floor:.1f}x floor")
     checked.add(row["model"])
 assert checked == set(min_speedup), (

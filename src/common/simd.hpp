@@ -1,5 +1,5 @@
-// Loop-vectorization hint shared by the serving hot paths (flat tree
-// traversal, LUT feature extraction).
+// Loop-vectorization hint for the serving hot paths (LUT feature
+// extraction's bank merge).
 //
 // PHISHINGHOOK_SIMD expands to `#pragma omp simd` when the build enables
 // OpenMP SIMD pragmas (CMake adds -fopenmp-simd and defines

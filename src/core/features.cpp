@@ -4,7 +4,6 @@
 #include <cstdint>
 
 #include "common/simd.hpp"
-#include "common/thread_pool.hpp"
 #include "common/timer.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -220,15 +219,9 @@ ml::Matrix HistogramVocabulary::transform_all(
     feature_instruments().transform_all_us.record(seconds * 1e6);
   });
   ml::Matrix out(corpus.size(), mnemonics_.size());
-  // Rows are independent and each is written by exactly one task directly
-  // into its Matrix row, so the result is bit-identical at every thread
-  // count (asserted in tests/test_parallel_determinism.cpp).
-  common::parallel_for_chunks(
-      corpus.size(), [&](std::size_t begin, std::size_t end) {
-        for (std::size_t r = begin; r < end; ++r) {
-          transform_into(*corpus[r], out.row(r));
-        }
-      });
+  for (std::size_t r = 0; r < corpus.size(); ++r) {
+    transform_into(*corpus[r], out.row(r));
+  }
   return out;
 }
 

@@ -110,9 +110,8 @@ class HistogramVocabulary {
   /// equivalence oracle for the LUT fast path.
   std::vector<double> transform_legacy(const Bytecode& code) const;
 
-  /// Histogram matrix for a corpus; rows are independent and processed in
-  /// parallel on the common::ThreadPool (bit-identical at every thread
-  /// count — each row is written by exactly one task).
+  /// Histogram matrix for a corpus, one transform_into per row, serially
+  /// on the calling thread.
   ml::Matrix transform_all(const std::vector<const Bytecode*>& corpus) const;
 
   const std::vector<std::string>& mnemonics() const { return mnemonics_; }

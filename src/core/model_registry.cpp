@@ -2,7 +2,6 @@
 
 #include "common/errors.hpp"
 #include "ml/catboost.hpp"
-#include "ml/flat_tree.hpp"
 #include "obs/trace.hpp"
 #include "ml/gradient_boosting.hpp"
 #include "ml/knn.hpp"
@@ -72,16 +71,7 @@ void HistogramAdapter::fit(const std::vector<const Bytecode*>& codes,
 std::vector<double> HistogramAdapter::predict_proba(
     const std::vector<const Bytecode*>& codes) {
   obs::ScopedSpan span("model.predict", name_.c_str());
-  const ml::Matrix features = vocabulary_.transform_all(codes);
-  // Tree models expose their compiled ensemble: route the batch through
-  // it directly (branch-free blocked traversal, bit-identical to the
-  // model's own predict_proba). Non-tree models keep the virtual path.
-  if (const ml::FlatTreeEnsemble* flat = model_->flat_ensemble()) {
-    std::vector<double> out(features.rows(), 0.0);
-    flat->predict_into(features, out);
-    return out;
-  }
-  return model_->predict_proba(features);
+  return model_->predict_proba(vocabulary_.transform_all(codes));
 }
 
 // --- VisionAdapter -----------------------------------------------------------

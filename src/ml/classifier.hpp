@@ -29,8 +29,8 @@ class TabularClassifier {
 
   /// The compiled branch-free ensemble behind predict_proba, when the
   /// model has one (tree ensembles after fit()/load); nullptr otherwise.
-  /// Serving uses this to route batches through FlatTreeEnsemble
-  /// explicitly and to export compile stats.
+  /// Serving uses this only to export compile stats; predict_proba
+  /// already runs the compiled ensemble.
   virtual const FlatTreeEnsemble* flat_ensemble() const { return nullptr; }
 
   /// Hard labels at the 0.5 threshold.

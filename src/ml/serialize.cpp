@@ -28,10 +28,11 @@ constexpr const char* kXgbTag = "phook.xgb.v1";
 constexpr const char* kLgbmTag = "phook.lgbm.v1";
 constexpr const char* kCatBoostTag = "phook.catboost.v1";
 
-// Caps for corrupt length prefixes: far above any model this repo trains,
-// far below an accidental multi-gigabyte allocation.
+// Caps for corrupt length prefixes and feature ids: far above any model
+// this repo trains, far below an accidental multi-gigabyte allocation.
 constexpr std::uint64_t kMaxNodes = 1u << 26;
 constexpr std::uint64_t kMaxTrees = 1u << 16;
+constexpr int kMaxFeature = 1 << 20;
 
 using common::read_double;
 using common::read_doubles;
@@ -57,6 +58,37 @@ void write_tree_nodes(std::ostream& out, const std::vector<TreeNode>& tree) {
   }
 }
 
+/// Every load ends in a FlatTreeEnsemble compile that indexes nodes with
+/// no bound check, so a tree is checked before anything walks it: at least
+/// one node, and every node reached exactly once from the root (which
+/// rules out out-of-range children, shared subtrees and cycles).
+void check_tree(const std::vector<TreeNode>& tree) {
+  if (tree.empty()) throw ParseError("tree has no nodes");
+  std::vector<bool> seen(tree.size(), false);
+  std::vector<int> stack = {0};
+  std::size_t reached = 0;
+  while (!stack.empty()) {
+    const int node = stack.back();
+    stack.pop_back();
+    if (node < 0 || static_cast<std::size_t>(node) >= tree.size()) {
+      throw ParseError("tree child index out of range");
+    }
+    if (seen[static_cast<std::size_t>(node)]) {
+      throw ParseError("tree node reached twice");
+    }
+    seen[static_cast<std::size_t>(node)] = true;
+    ++reached;
+    const TreeNode& n = tree[static_cast<std::size_t>(node)];
+    if (n.is_leaf()) continue;  // feature < 0 marks a leaf
+    if (n.feature > kMaxFeature) {
+      throw ParseError("tree feature index out of range");
+    }
+    stack.push_back(n.left);
+    stack.push_back(n.right);
+  }
+  if (reached != tree.size()) throw ParseError("tree has unreachable nodes");
+}
+
 std::vector<TreeNode> read_tree_nodes(std::istream& in) {
   const std::uint64_t n_nodes = read_u64(in);
   if (n_nodes > kMaxNodes) throw ParseError("tree node count out of range");
@@ -69,6 +101,7 @@ std::vector<TreeNode> read_tree_nodes(std::istream& in) {
     node.value = read_double(in);
     node.weight = read_double(in);
   }
+  check_tree(tree);
   return tree;
 }
 
@@ -152,6 +185,7 @@ DecisionTreeClassifier DecisionTreeClassifier::load_payload(std::istream& in) {
     node.value = read_double(in);
     node.weight = read_double(in);
   }
+  check_tree(tree.nodes_);
   tree.importances_ = read_doubles(in);
   return tree;
 }
@@ -341,7 +375,11 @@ CatBoostClassifier CatBoostClassifier::load_from(std::istream& in) {
     if (depth > 32) throw ParseError("catboost tree depth out of range");
     tree.features.reserve(depth);
     for (std::uint64_t level = 0; level < depth; ++level) {
-      tree.features.push_back(read_i32(in));
+      const int feature = read_i32(in);
+      if (feature < 0 || feature > kMaxFeature) {
+        throw ParseError("catboost level feature out of range");
+      }
+      tree.features.push_back(feature);
     }
     tree.thresholds = read_doubles(in);
     tree.leaf_values = read_doubles(in);

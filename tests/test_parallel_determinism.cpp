@@ -13,17 +13,14 @@
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
-#include "core/features.hpp"
 #include "ml/catboost.hpp"
 #include "ml/cross_validation.hpp"
-#include "ml/flat_tree.hpp"
 #include "ml/gradient_boosting.hpp"
 #include "ml/hyper_search.hpp"
 #include "ml/knn.hpp"
 #include "ml/lightgbm.hpp"
 #include "ml/random_forest.hpp"
 #include "obs/trace.hpp"
-#include "synth/dataset_builder.hpp"
 
 namespace phishinghook::ml {
 namespace {
@@ -152,64 +149,6 @@ TEST_F(ParallelDeterminism, CatBoostBitIdentical) {
   config.n_rounds = 10;
   const auto run = [&] { return fit_predict<CatBoostClassifier>(config, data); };
   expect_identical(at_threads(1, run), at_threads(4, run));
-}
-
-TEST_F(ParallelDeterminism, FlatEnsembleTraversalsBitIdenticalAcrossThreads) {
-  // The serving-side flat predictor chunks rows across the pool with each
-  // chunk's accumulation fully row-local, so 1 and 4 threads must produce
-  // the same bytes — for the production auto traversal and the forced
-  // bitvector path alike, on both tree kinds (binary and oblivious).
-  const Dataset data = make_dataset(230, 6, 108);
-  RandomForestConfig rf_config;
-  rf_config.n_trees = 10;
-  rf_config.max_depth = 8;
-  RandomForestClassifier forest(rf_config);
-  forest.fit(data.x, data.y);
-  CatBoostConfig cb_config;
-  cb_config.n_rounds = 8;
-  CatBoostClassifier catboost(cb_config);
-  catboost.fit(data.x, data.y);
-
-  std::vector<FlatTreeEnsemble> flats;
-  flats.push_back(FlatTreeEnsemble::from_forest(forest.trees()));
-  flats.push_back(
-      FlatTreeEnsemble::from_oblivious(catboost.trees(), catboost.base_score()));
-  for (FlatTreeEnsemble& flat : flats) {
-    for (const auto traversal : {FlatTreeEnsemble::Traversal::kAuto,
-                                 FlatTreeEnsemble::Traversal::kBitvector}) {
-      flat.set_traversal(traversal);
-      const auto run = [&] { return flat.predict_proba(data.x); };
-      expect_identical(at_threads(1, run), at_threads(4, run));
-    }
-  }
-}
-
-TEST_F(ParallelDeterminism, HistogramTransformAllBitIdentical) {
-  // The row-parallel LUT feature extractor: each histogram row is written
-  // by exactly one task, so the matrix must be bit-identical at any thread
-  // count.
-  synth::DatasetConfig config;
-  config.target_size = 48;
-  config.seed = 55;
-  const synth::BuiltDataset dataset = synth::DatasetBuilder(config).build();
-  std::vector<const core::Bytecode*> corpus;
-  corpus.reserve(dataset.samples.size());
-  for (const synth::LabeledContract& sample : dataset.samples) {
-    corpus.push_back(&sample.code);
-  }
-  core::HistogramVocabulary vocab;
-  vocab.fit(corpus);
-  const auto run = [&] { return vocab.transform_all(corpus); };
-  const Matrix serial = at_threads(1, run);
-  const Matrix parallel = at_threads(4, run);
-  ASSERT_EQ(serial.rows(), parallel.rows());
-  ASSERT_EQ(serial.cols(), parallel.cols());
-  for (std::size_t r = 0; r < serial.rows(); ++r) {
-    for (std::size_t c = 0; c < serial.cols(); ++c) {
-      ASSERT_EQ(serial.at(r, c), parallel.at(r, c))
-          << "row " << r << " col " << c;
-    }
-  }
 }
 
 TEST_F(ParallelDeterminism, KnnBitIdentical) {

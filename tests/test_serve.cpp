@@ -1,6 +1,6 @@
-// Serving subsystem: artifact round-trips, the sharded LRU score cache,
-// service metrics, and the batching scoring engine (including the
-// multi-producer consistency check the TSan build exercises).
+// Serving subsystem: artifact round-trips and corrupt-tree rejection, the
+// sharded LRU score cache, service metrics, and the batching scoring engine
+// (including the multi-producer consistency check the TSan build exercises).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,9 +10,11 @@
 #include <thread>
 
 #include "common/binary_io.hpp"
+#include "common/thread_pool.hpp"
 #include "common/timer.hpp"
 #include "ml/logistic_regression.hpp"
 #include "ml/random_forest.hpp"
+#include "obs/metrics.hpp"
 #include "serve/artifact.hpp"
 #include "serve/metrics.hpp"
 #include "serve/score_cache.hpp"
@@ -155,6 +157,165 @@ TEST(Artifact, ClassifierFactoryRejectsUnknownTag) {
   std::stringstream buffer;
   common::write_string(buffer, "phook.mystery.v1");
   EXPECT_THROW(ml::TabularClassifier::load(buffer), ParseError);
+}
+
+// --- corrupt tree artifacts ----------------------------------------------------
+//
+// Hand-built records in the layouts the save() hooks write, so each
+// corruption is exactly one field. Every test first loads the uncorrupted
+// record, so a ParseError cannot come from a mis-built record.
+
+/// root (feature 0) -> leaves 1 and 2.
+std::vector<ml::TreeNode> stump() {
+  std::vector<ml::TreeNode> nodes(3);
+  nodes[0].feature = 0;
+  nodes[0].threshold = 0.5;
+  nodes[0].left = 1;
+  nodes[0].right = 2;
+  nodes[1].value = 0.25;
+  nodes[2].value = 0.75;
+  return nodes;
+}
+
+void write_nodes(std::ostream& out, const std::vector<ml::TreeNode>& nodes) {
+  common::write_u64(out, nodes.size());
+  for (const ml::TreeNode& node : nodes) {
+    common::write_i32(out, node.feature);
+    common::write_double(out, node.threshold);
+    common::write_i32(out, node.left);
+    common::write_i32(out, node.right);
+    common::write_double(out, node.value);
+    common::write_double(out, node.weight);
+  }
+}
+
+/// A "phook.dtree.v1" record (DecisionTreeClassifier::load_payload).
+std::string tree_record(const std::vector<ml::TreeNode>& nodes) {
+  std::ostringstream out;
+  common::write_string(out, "phook.dtree.v1");
+  common::write_i32(out, 4);  // max_depth
+  for (int field = 0; field < 4; ++field) {
+    common::write_u64(out, 1);  // min_samples_leaf/split, max_features, seed
+  }
+  common::write_u64(out, 2);  // n_features
+  write_nodes(out, nodes);
+  common::write_doubles(out, {0.5, 0.5});  // importances
+  return out.str();
+}
+
+/// A one-tree "phook.xgb.v1" record (read_tree_nodes).
+std::string xgb_record(const std::vector<ml::TreeNode>& nodes) {
+  std::ostringstream out;
+  common::write_string(out, "phook.xgb.v1");
+  common::write_i32(out, 1);  // n_rounds
+  common::write_i32(out, 2);  // max_depth
+  for (int field = 0; field < 6; ++field) {
+    common::write_double(out, 0.5);  // learning rate .. colsample
+  }
+  common::write_u64(out, 7);       // seed
+  common::write_double(out, 0.0);  // base score
+  common::write_u64(out, 1);       // tree count
+  write_nodes(out, nodes);
+  return out.str();
+}
+
+/// A one-tree "phook.catboost.v1" record with the given level features.
+std::string catboost_record(const std::vector<int>& features) {
+  std::ostringstream out;
+  common::write_string(out, "phook.catboost.v1");
+  common::write_i32(out, 1);  // n_rounds
+  common::write_i32(out, static_cast<int>(features.size()));  // depth
+  common::write_i32(out, 16);  // max_bins
+  for (int field = 0; field < 3; ++field) {
+    common::write_double(out, 0.5);  // learning rate, lambda, temperature
+  }
+  common::write_u64(out, 7);       // seed
+  common::write_double(out, 0.0);  // base score
+  common::write_u64(out, 1);       // tree count
+  common::write_u64(out, features.size());
+  for (const int feature : features) common::write_i32(out, feature);
+  common::write_doubles(out, std::vector<double>(features.size(), 0.5));
+  common::write_doubles(
+      out, std::vector<double>(std::size_t{1} << features.size(), 0.1));
+  return out.str();
+}
+
+std::unique_ptr<ml::TabularClassifier> load_classifier(
+    const std::string& record) {
+  std::istringstream in(record);
+  return ml::TabularClassifier::load(in);
+}
+
+/// Asserts the stump loads and predicts in both binary-tree layouts, and
+/// that `corrupt` applied to it is refused by both loaders.
+template <typename Corrupt>
+void expect_tree_records_rejected(Corrupt corrupt) {
+  ml::Matrix x(1, 2);
+  for (const auto& record : {tree_record, xgb_record}) {
+    ASSERT_EQ(load_classifier(record(stump()))->predict_proba(x).size(), 1u);
+    std::vector<ml::TreeNode> nodes = stump();
+    corrupt(nodes);
+    EXPECT_THROW(load_classifier(record(nodes)), ParseError);
+  }
+}
+
+TEST(Artifact, RejectsTreeChildOutOfRange) {
+  expect_tree_records_rejected(
+      [](std::vector<ml::TreeNode>& nodes) { nodes[0].right = 3; });
+  expect_tree_records_rejected(
+      [](std::vector<ml::TreeNode>& nodes) { nodes[0].left = -1; });
+}
+
+TEST(Artifact, RejectsTreeWithNoNodes) {
+  expect_tree_records_rejected(
+      [](std::vector<ml::TreeNode>& nodes) { nodes.clear(); });
+}
+
+TEST(Artifact, RejectsTreeCycle) {
+  // Leaf 2 becomes a split whose left child is the root.
+  expect_tree_records_rejected([](std::vector<ml::TreeNode>& nodes) {
+    nodes[2].feature = 1;
+    nodes[2].left = 0;
+    nodes[2].right = 1;
+  });
+}
+
+TEST(Artifact, RejectsTreeFeatureOutOfRange) {
+  // Past the loader's feature cap: the compile would size its cut tables
+  // by it.
+  expect_tree_records_rejected(
+      [](std::vector<ml::TreeNode>& nodes) { nodes[0].feature = 1 << 21; });
+}
+
+TEST(Artifact, RejectsCatBoostFeatureOutOfRange) {
+  ml::Matrix x(1, 2);
+  ASSERT_EQ(load_classifier(catboost_record({0, 1}))->predict_proba(x).size(),
+            1u);
+  EXPECT_THROW(load_classifier(catboost_record({0, -1})), ParseError);
+  EXPECT_THROW(load_classifier(catboost_record({0, 1 << 21})), ParseError);
+}
+
+TEST(Artifact, RejectsCorruptTreeInsideServingArtifact) {
+  const auto artifact = [](const std::vector<ml::TreeNode>& nodes) {
+    std::ostringstream out;
+    out.write(serve::kArtifactMagic, sizeof(serve::kArtifactMagic));
+    common::write_u32(out, serve::kArtifactVersion);
+    common::write_string(out, serve::kArtifactFamilyHistogram);
+    common::write_string(out, "corrupt-xgb");
+    common::write_u64(out, 2);  // vocabulary
+    common::write_string(out, "PUSH1");
+    common::write_string(out, "STOP");
+    out << xgb_record(nodes);
+    return out.str();
+  };
+  std::istringstream good(artifact(stump()));
+  EXPECT_EQ(serve::load_artifact(good)->name(), "corrupt-xgb");
+  std::vector<ml::TreeNode> nodes = stump();
+  nodes[1].feature = 0;  // leaf 1 becomes a split over itself
+  nodes[1].left = 1;
+  nodes[1].right = 2;
+  std::istringstream bad(artifact(nodes));
+  EXPECT_THROW(serve::load_artifact(bad), ParseError);
 }
 
 // --- sharded score cache -----------------------------------------------------
@@ -468,6 +629,25 @@ TEST_F(ScoringEngineTest, SubmitAfterShutdownIsRefused) {
   EXPECT_EQ(late.front().status, serve::ScoreStatus::kShed);
   EXPECT_EQ(late.front().address, addresses_.front());
   EXPECT_EQ(engine.metrics().requests_submitted.value(), 1u);
+}
+
+TEST_F(ScoringEngineTest, ServingDoesNoPoolWork) {
+  // A served batch runs entirely on the engine worker that popped it: with
+  // a 4-thread global pool on hand, scoring cache misses (histograms and
+  // flat-tree predict) must hand the pool no task. The pool is for training.
+  common::ThreadPool::set_global_threads(4);
+  const obs::Counter tasks =
+      obs::MetricsRegistry::global().counter("threadpool_tasks_total");
+  const std::uint64_t before = tasks.value();
+  serve::EngineConfig config;
+  config.workers = 2;
+  config.max_batch = 16;
+  serve::ScoringEngine engine(*dataset().explorer, *adapter_, config);
+  engine.score_all(addresses_);
+  EXPECT_GT(engine.cache_stats().misses, 16u);
+  EXPECT_GT(engine.metrics().batches.value(), 0u);
+  EXPECT_EQ(tasks.value(), before);
+  common::ThreadPool::set_global_threads(0);
 }
 
 TEST_F(ScoringEngineTest, MetricsDumpAfterTraffic) {
