@@ -53,7 +53,8 @@ class Explorer {
   /// Unknown accounts return "0x" like a real node.
   virtual std::string eth_get_code(const Address& address) const;
 
-  /// The same, decoded — the BEM's working form.
+  /// The same, decoded, with the account's stored code hash attached —
+  /// the scoring engine's fetch (no hex round-trip, no rehash).
   virtual Bytecode get_code(const Address& address) const;
 
   /// Label-service write path (exercised by corpus generation).

@@ -1,38 +1,37 @@
 #include "evm/bytecode.hpp"
 
+#include <utility>
+
 #include "common/hex.hpp"
 #include "evm/opcodes.hpp"
 
 namespace phishinghook::evm {
 
-Bytecode::Bytecode(std::vector<std::uint8_t> bytes) : bytes_(std::move(bytes)) {}
+const std::vector<std::uint8_t> Bytecode::kNoBytes;
+
+Bytecode::Bytecode(std::vector<std::uint8_t> bytes) {
+  if (bytes.empty()) return;  // no code: the default's empty hash
+  const Hash256 hash = keccak256(bytes);
+  code_ = std::make_shared<const Code>(Code{std::move(bytes), hash});
+}
 
 Bytecode Bytecode::from_hex(std::string_view hex) {
   return Bytecode(phishinghook::common::hex_decode(hex));
 }
 
 std::string Bytecode::to_hex() const {
-  return phishinghook::common::hex_encode_prefixed(bytes_);
+  return phishinghook::common::hex_encode_prefixed(bytes());
 }
 
-Hash256 Bytecode::code_hash() const { return keccak256(bytes_); }
-
-const std::vector<bool>& Bytecode::instruction_starts() const {
-  if (starts_.size() != bytes_.size() || bytes_.empty()) {
-    starts_.assign(bytes_.size(), false);
-    std::size_t pc = 0;
-    while (pc < bytes_.size()) {
-      starts_[pc] = true;
-      pc += 1 + push_data_size(bytes_[pc]);
-    }
+std::vector<bool> Bytecode::jump_destinations() const {
+  const std::vector<std::uint8_t>& code = bytes();
+  std::vector<bool> dests(code.size(), false);
+  std::size_t pc = 0;
+  while (pc < code.size()) {
+    dests[pc] = code[pc] == op_byte(Op::kJumpdest);
+    pc += 1 + push_data_size(code[pc]);
   }
-  return starts_;
-}
-
-bool Bytecode::is_valid_jump_dest(std::size_t pc) const {
-  if (pc >= bytes_.size()) return false;
-  if (bytes_[pc] != op_byte(Op::kJumpdest)) return false;
-  return instruction_starts()[pc];
+  return dests;
 }
 
 }  // namespace phishinghook::evm

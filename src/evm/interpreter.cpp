@@ -48,9 +48,18 @@ struct Frame {
   std::vector<std::uint8_t> return_data;  // of the last nested call
   std::uint64_t gas_left;
   std::size_t pc = 0;
+  std::vector<bool> jump_dests;  // built on the frame's first jump
 
   explicit Frame(const Message& m, const Bytecode& c, Host& h, int d)
       : msg(m), code(c), host(h), depth(d), gas_left(m.gas) {}
+
+  /// JUMP/JUMPI target check. The JUMPDEST map is the frame's own, so
+  /// the (shared, immutable) code object is never written.
+  bool valid_jump(const U256& dest) {
+    if (!dest.fits_u64() || dest.low64() >= code.size()) return false;
+    if (jump_dests.empty()) jump_dests = code.jump_destinations();
+    return jump_dests[static_cast<std::size_t>(dest.low64())];
+  }
 
   bool charge(std::uint64_t amount) {
     if (amount > gas_left) {
@@ -553,10 +562,7 @@ ExecutionResult Interpreter::execute_impl(const Message& message,
       case Op::kJump: {
         U256 dest_w;
         (void)f.stack.pop(dest_w);
-        if (!dest_w.fits_u64() ||
-            !code.is_valid_jump_dest(static_cast<std::size_t>(dest_w.low64()))) {
-          return finish(f, Status::kInvalidJump);
-        }
+        if (!f.valid_jump(dest_w)) return finish(f, Status::kInvalidJump);
         next_pc = static_cast<std::size_t>(dest_w.low64());
         break;
       }
@@ -565,11 +571,7 @@ ExecutionResult Interpreter::execute_impl(const Message& message,
         (void)f.stack.pop(dest_w);
         (void)f.stack.pop(condition);
         if (!condition.is_zero()) {
-          if (!dest_w.fits_u64() ||
-              !code.is_valid_jump_dest(
-                  static_cast<std::size_t>(dest_w.low64()))) {
-            return finish(f, Status::kInvalidJump);
-          }
+          if (!f.valid_jump(dest_w)) return finish(f, Status::kInvalidJump);
           next_pc = static_cast<std::size_t>(dest_w.low64());
         }
         break;

@@ -13,6 +13,14 @@ namespace phishinghook::evm {
 
 using Hash256 = std::array<std::uint8_t, 32>;
 
+/// keccak256("") — the code hash of an account with no code.
+inline constexpr Hash256 kEmptyKeccak = {
+    0xc5, 0xd2, 0x46, 0x01, 0x86, 0xf7, 0x23, 0x3c,
+    0x92, 0x7e, 0x7d, 0xb2, 0xdc, 0xc7, 0x03, 0xc0,
+    0xe5, 0x00, 0xb6, 0x53, 0xca, 0x82, 0x27, 0x3b,
+    0x7b, 0xfa, 0xd8, 0x04, 0x5d, 0x85, 0xa4, 0x70,
+};
+
 /// Keccak-256 digest of `data` (Ethereum variant: pad10*1 with 0x01 domain).
 Hash256 keccak256(std::span<const std::uint8_t> data);
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <numeric>
+#include <string>
 #include <utility>
 
 #include "common/thread_pool.hpp"
@@ -283,6 +284,11 @@ void DecisionTreeClassifier::fit_weighted(const Matrix& x,
 
 double DecisionTreeClassifier::predict_row(std::span<const double> row) const {
   if (nodes_.empty()) throw StateError("DecisionTree::predict before fit");
+  if (row.size() < n_features_) {
+    throw InvalidArgument("DecisionTree::predict_row needs " +
+                          std::to_string(n_features_) + " features, row has " +
+                          std::to_string(row.size()));
+  }
   int node = 0;
   while (!nodes_[static_cast<std::size_t>(node)].is_leaf()) {
     const TreeNode& n = nodes_[static_cast<std::size_t>(node)];

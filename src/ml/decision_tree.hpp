@@ -76,6 +76,9 @@ class DecisionTreeClassifier final : public TabularClassifier {
   /// P(phishing) for a single row.
   double predict_row(std::span<const double> row) const;
 
+  /// Columns the tree was fitted on; predict needs at least this many.
+  std::size_t n_features() const { return n_features_; }
+
   /// Flat node array (root at 0); consumed by TreeSHAP.
   const std::vector<TreeNode>& nodes() const { return nodes_; }
 

@@ -330,11 +330,7 @@ void FlatTreeEnsemble::predict_block(const Matrix& x, std::size_t row0,
 
 std::vector<double> FlatTreeEnsemble::predict_proba(const Matrix& x) const {
   if (empty()) throw StateError("FlatTreeEnsemble::predict before compile");
-  if (x.rows() > 0 && x.cols() < n_features_) {
-    throw InvalidArgument("FlatTreeEnsemble::predict_proba needs " +
-                          std::to_string(n_features_) +
-                          " features, matrix has " + std::to_string(x.cols()));
-  }
+  require_columns(x, n_features_, "FlatTreeEnsemble::predict_proba");
   obs::ScopedSpan span("ml.flat_predict");
   FlatInstruments& instruments = flat_instruments();
   instruments.calls.inc();

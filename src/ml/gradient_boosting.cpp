@@ -194,6 +194,8 @@ std::vector<double> GradientBoostingClassifier::predict_proba(
 
 std::vector<double> GradientBoostingClassifier::predict_proba_nodewalk(
     const Matrix& x) const {
+  // flat_.n_features() is one past the highest split feature.
+  require_columns(x, flat_.n_features(), "XGBoost::predict_proba_nodewalk");
   std::vector<double> out(x.rows());
   common::parallel_for_chunks(
       x.rows(), [&](std::size_t begin, std::size_t end) {

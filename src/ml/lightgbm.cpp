@@ -215,6 +215,8 @@ std::vector<double> LightGbmClassifier::predict_proba(const Matrix& x) const {
 
 std::vector<double> LightGbmClassifier::predict_proba_nodewalk(
     const Matrix& x) const {
+  // flat_.n_features() is one past the highest split feature.
+  require_columns(x, flat_.n_features(), "LightGBM::predict_proba_nodewalk");
   std::vector<double> out(x.rows());
   common::parallel_for_chunks(
       x.rows(), [&](std::size_t begin, std::size_t end) {

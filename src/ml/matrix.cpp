@@ -1,6 +1,17 @@
 #include "ml/matrix.hpp"
 
+#include <string>
+
 namespace phishinghook::ml {
+
+void require_columns(const Matrix& x, std::size_t n_features,
+                     const char* who) {
+  if (x.rows() > 0 && x.cols() < n_features) {
+    throw InvalidArgument(std::string(who) + " needs " +
+                          std::to_string(n_features) +
+                          " features, matrix has " + std::to_string(x.cols()));
+  }
+}
 
 Matrix Matrix::from_rows(const std::vector<std::vector<double>>& rows) {
   if (rows.empty()) return Matrix();

@@ -43,6 +43,12 @@ class Matrix {
   std::vector<double> data_;
 };
 
+/// Throws InvalidArgument when `x` has rows but fewer than `n_features`
+/// columns: a tree model splitting on a missing column would read past
+/// the row. `who` names the caller in the message.
+void require_columns(const Matrix& x, std::size_t n_features,
+                     const char* who);
+
 /// Select elements of `values` by `indices` (labels companion of
 /// Matrix::select_rows).
 template <typename T>

@@ -72,6 +72,7 @@ std::vector<double> RandomForestClassifier::predict_proba(
 std::vector<double> RandomForestClassifier::predict_proba_nodewalk(
     const Matrix& x) const {
   if (trees_.empty()) throw StateError("RandomForest::predict before fit");
+  require_columns(x, n_features_, "RandomForest::predict_proba_nodewalk");
   // Row-outer / tree-inner: each row's feature span stays hot in cache
   // across the whole forest, and rows parallelize independently.
   const double n_trees = static_cast<double>(trees_.size());

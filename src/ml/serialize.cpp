@@ -60,9 +60,11 @@ void write_tree_nodes(std::ostream& out, const std::vector<TreeNode>& tree) {
 
 /// Every load ends in a FlatTreeEnsemble compile that indexes nodes with
 /// no bound check, so a tree is checked before anything walks it: at least
-/// one node, and every node reached exactly once from the root (which
-/// rules out out-of-range children, shared subtrees and cycles).
-void check_tree(const std::vector<TreeNode>& tree) {
+/// one node, every node reached exactly once from the root (which rules
+/// out out-of-range children, shared subtrees and cycles), and every split
+/// feature below `n_features` — the model's stored feature count, or the
+/// loader's cap for models that store none.
+void check_tree(const std::vector<TreeNode>& tree, std::uint64_t n_features) {
   if (tree.empty()) throw ParseError("tree has no nodes");
   std::vector<bool> seen(tree.size(), false);
   std::vector<int> stack = {0};
@@ -80,7 +82,7 @@ void check_tree(const std::vector<TreeNode>& tree) {
     ++reached;
     const TreeNode& n = tree[static_cast<std::size_t>(node)];
     if (n.is_leaf()) continue;  // feature < 0 marks a leaf
-    if (n.feature > kMaxFeature) {
+    if (static_cast<std::uint64_t>(n.feature) >= n_features) {
       throw ParseError("tree feature index out of range");
     }
     stack.push_back(n.left);
@@ -101,8 +103,17 @@ std::vector<TreeNode> read_tree_nodes(std::istream& in) {
     node.value = read_double(in);
     node.weight = read_double(in);
   }
-  check_tree(tree);
+  check_tree(tree, static_cast<std::uint64_t>(kMaxFeature) + 1);
   return tree;
+}
+
+/// A stored feature count, capped like the feature ids it bounds.
+std::uint64_t read_n_features(std::istream& in) {
+  const std::uint64_t n_features = read_u64(in);
+  if (n_features > static_cast<std::uint64_t>(kMaxFeature) + 1) {
+    throw ParseError("feature count out of range");
+  }
+  return n_features;
 }
 
 }  // namespace
@@ -173,7 +184,7 @@ DecisionTreeClassifier DecisionTreeClassifier::load_payload(std::istream& in) {
   config.max_features = read_u64(in);
   config.seed = read_u64(in);
   DecisionTreeClassifier tree(config);
-  tree.n_features_ = read_u64(in);
+  tree.n_features_ = read_n_features(in);
   const std::uint64_t n_nodes = read_u64(in);
   if (n_nodes > kMaxNodes) throw ParseError("tree node count out of range");
   tree.nodes_.resize(n_nodes);
@@ -185,8 +196,11 @@ DecisionTreeClassifier DecisionTreeClassifier::load_payload(std::istream& in) {
     node.value = read_double(in);
     node.weight = read_double(in);
   }
-  check_tree(tree.nodes_);
+  check_tree(tree.nodes_, tree.n_features_);
   tree.importances_ = read_doubles(in);
+  if (tree.importances_.size() != tree.n_features_) {
+    throw ParseError("tree importance count does not match feature count");
+  }
   return tree;
 }
 
@@ -230,12 +244,15 @@ RandomForestClassifier RandomForestClassifier::load_from(std::istream& in) {
   config.max_features = read_u64(in);
   config.seed = read_u64(in);
   RandomForestClassifier forest(config);
-  forest.n_features_ = read_u64(in);
+  forest.n_features_ = read_n_features(in);
   const std::uint64_t n_trees = read_u64(in);
   if (n_trees > kMaxTrees) throw ParseError("forest tree count out of range");
   forest.trees_.reserve(n_trees);
   for (std::uint64_t t = 0; t < n_trees; ++t) {
     forest.trees_.push_back(DecisionTreeClassifier::load_payload(in));
+    if (forest.trees_.back().n_features() != forest.n_features_) {
+      throw ParseError("forest tree feature count does not match forest");
+    }
   }
   forest.flat_ = FlatTreeEnsemble::from_forest(forest.trees_);
   return forest;

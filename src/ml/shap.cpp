@@ -1,6 +1,8 @@
 #include "ml/shap.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "common/rng.hpp"
 
@@ -151,6 +153,15 @@ double expected_tree_value(const std::vector<TreeNode>& nodes, int node_id) {
 ShapExplanation tree_shap(const std::vector<TreeNode>& nodes,
                           std::span<const double> x, std::size_t n_features) {
   if (nodes.empty()) throw InvalidArgument("tree_shap on empty tree");
+  // The walk reads x[feature] and writes values[feature] unchecked.
+  const std::size_t width = std::min(x.size(), n_features);
+  for (const TreeNode& node : nodes) {
+    if (!node.is_leaf() && static_cast<std::size_t>(node.feature) >= width) {
+      throw InvalidArgument("tree_shap: tree splits on feature " +
+                            std::to_string(node.feature) + ", row has " +
+                            std::to_string(width));
+    }
+  }
   ShapExplanation out;
   out.values.assign(n_features, 0.0);
   out.expected_value = expected_tree_value(nodes, 0);

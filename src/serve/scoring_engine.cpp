@@ -42,7 +42,7 @@ const char* to_string(ScoreStatus status) {
 
 ScoringEngine::ScoringEngine(const chain::Explorer& explorer,
                              ml::Scorer& detector, EngineConfig config)
-    : bem_(explorer),
+    : explorer_(&explorer),
       detector_(&detector),
       config_(config),
       cache_(config.cache_capacity, config.cache_shards) {
@@ -227,7 +227,7 @@ std::vector<ScoringEngine::Request> ScoringEngine::next_batch() {
 
 evm::Bytecode ScoringEngine::extract_code(const evm::Address& address) {
   return config_.extract_retry.run(
-      [&] { return bem_.extract(address).code; },
+      [&] { return explorer_->get_code(address); },
       /*salt=*/static_cast<std::uint64_t>(std::hash<evm::Address>{}(address)),
       [this] { metrics_.retries.inc(); });
 }
@@ -274,7 +274,6 @@ void ScoringEngine::process_batch(std::vector<Request> batch) {
 
   struct Slot {
     evm::Bytecode code;
-    evm::Hash256 hash{};
     double probability = 0.0;
     std::uint32_t stage = 0;
     ScoreStatus status = ScoreStatus::kOk;
@@ -283,18 +282,18 @@ void ScoringEngine::process_batch(std::vector<Request> batch) {
   };
   std::vector<Slot> slots(live.size());
 
-  // Pull bytecode, probe the cache, and collapse duplicate code hashes so
-  // each unique miss costs exactly one model row. Extraction is per-slot
-  // fault-isolated: one hostile address fails its own slot, never the
-  // batch, never the worker.
+  // Pull bytecode (decoded, its code hash attached), probe the cache, and
+  // collapse duplicate code hashes so each unique miss costs exactly one
+  // model row. Extraction is per-slot fault-isolated: one hostile address
+  // fails its own slot, never the batch, never the worker.
   std::unordered_map<evm::Hash256, std::size_t, DigestHash> miss_index;
   std::vector<const evm::Bytecode*> miss_codes;
   std::vector<std::vector<std::size_t>> miss_slots;
   obs::ScopedSpan extract_span("serve.extract");
   for (std::size_t i = 0; i < live.size(); ++i) {
     Slot& slot = slots[i];
-    // Per-slot service timing: fetch + hash + cache probe is the extract
-    // stage this request experienced, whatever its outcome.
+    // Per-slot service timing: fetch + cache probe is the extract stage
+    // this request experienced, whatever its outcome.
     const double slot_start_us = tracer.now_us();
     [&] {
       try {
@@ -313,14 +312,15 @@ void ScoringEngine::process_batch(std::vector<Request> batch) {
         metrics_.empty_code_requests.inc();
         return;
       }
-      slot.hash = slot.code.code_hash();
-      if (const std::optional<CachedScore> cached = cache_.get(slot.hash)) {
+      // The digest arrived with the code: no hashing on this path.
+      const evm::Hash256 hash = slot.code.code_hash();
+      if (const std::optional<CachedScore> cached = cache_.get(hash)) {
         slot.probability = cached->probability;
         slot.stage = cached->stage;
         slot.cache_hit = true;
         return;
       }
-      const auto [it, inserted] = miss_index.try_emplace(slot.hash,
+      const auto [it, inserted] = miss_index.try_emplace(hash,
                                                          miss_codes.size());
       if (inserted) {
         miss_codes.push_back(&slot.code);

@@ -7,8 +7,9 @@
 //
 //   try_submit(addr, done)
 //     -> [bounded queue] -> worker: shed expired deadlines
-//                             -> BEM eth_getCode (retried)
-//                             -> code hash -> score cache?
+//                             -> Explorer::get_code (retried): decoded
+//                                code, account-carried code hash
+//                             -> score cache?
 //                             -> one score_batch per batch
 //                             -> cache fill -> done(result)
 //
@@ -50,9 +51,9 @@
 #include <thread>
 #include <vector>
 
+#include "chain/explorer.hpp"
 #include "common/retry.hpp"
 #include "common/timer.hpp"
-#include "core/bem.hpp"
 #include "ml/scorer.hpp"
 #include "obs/request_context.hpp"
 #include "serve/metrics.hpp"
@@ -88,7 +89,7 @@ enum class ScoreStatus {
   kOk,            ///< scored (model or cache)
   kEmptyCode,     ///< EOA / destroyed contract (scored as 0)
   kDegraded,      ///< heavy cascade stage failed; stage-0 score delivered
-  kExtractError,  ///< eth_getCode failed after retries
+  kExtractError,  ///< code fetch failed after retries
   kModelError,    ///< score_batch threw for this slot's batch
   kShed,          ///< dropped by admission control or deadline
 };
@@ -205,8 +206,9 @@ class ScoringEngine {
   std::vector<Request> next_batch();
   void process_batch(std::vector<Request> batch);
 
-  /// eth_getCode through the BEM with the configured transient-fault
-  /// retry schedule.
+  /// Explorer::get_code with the configured transient-fault retry
+  /// schedule. The code arrives decoded with its hash attached, so the
+  /// request path never hex-encodes or hashes.
   evm::Bytecode extract_code(const evm::Address& address);
 
   /// Completes one request: stamps address + latency, records the latency
@@ -214,7 +216,7 @@ class ScoringEngine {
   /// the lane if the engine minted it, and runs the completion.
   void deliver(Request& request, ScoreResult result);
 
-  core::BytecodeExtractionModule bem_;
+  const chain::Explorer* explorer_;
   ml::Scorer* detector_;
   EngineConfig config_;
 

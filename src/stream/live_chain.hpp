@@ -4,9 +4,10 @@
 // train→scan pipeline never needed more. The streaming subsystem runs a
 // producer (the miner thread) against concurrent readers: the follower
 // thread tailing new deployments plus every scoring-engine worker pulling
-// bytecode through the BEM. LiveChain is the ownership-and-locking shell
-// that makes that safe: one mutex serializes mine_next_block() against an
-// Explorer decorator whose entire virtual read path takes the same lock.
+// bytecode through Explorer::get_code. LiveChain is the ownership-and-
+// locking shell that makes that safe: one mutex serializes
+// mine_next_block() against an Explorer decorator whose entire virtual read
+// path takes the same lock.
 //
 // Decorator order mirrors production: chaos decorators
 // (chain::FaultInjectingExplorer) wrap the *synchronized* view, so

@@ -150,6 +150,45 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --- model-specific behaviour -------------------------------------------------
 
+TEST(NodeWalk, RejectsMatrixNarrowerThanTheModel) {
+  // Only column 3 varies, so every split of every model reads column 3: a
+  // 3-column matrix is one short for all of them.
+  Blob train = make_blobs(40, 4, 3.0, 41);
+  for (std::size_t r = 0; r < train.x.rows(); ++r) {
+    for (std::size_t c = 0; c < 3; ++c) train.x.at(r, c) = 0.0;
+  }
+  const Matrix narrow(2, 3);
+
+  DecisionTreeClassifier tree;
+  tree.fit(train.x, train.y);
+  EXPECT_THROW((void)tree.predict_proba(narrow), InvalidArgument);
+  EXPECT_THROW((void)tree.predict_row(narrow.row(0)), InvalidArgument);
+  EXPECT_EQ(tree.predict_proba(train.x).size(), train.x.rows());
+
+  RandomForestConfig forest_config;
+  forest_config.n_trees = 4;
+  RandomForestClassifier forest(forest_config);
+  forest.fit(train.x, train.y);
+  EXPECT_THROW((void)forest.predict_proba_nodewalk(narrow), InvalidArgument);
+  EXPECT_EQ(forest.predict_proba_nodewalk(train.x), forest.predict_proba(train.x));
+
+  GradientBoostingClassifier xgb;
+  xgb.fit(train.x, train.y);
+  EXPECT_THROW((void)xgb.predict_proba_nodewalk(narrow), InvalidArgument);
+  EXPECT_EQ(xgb.predict_proba_nodewalk(train.x), xgb.predict_proba(train.x));
+
+  LightGbmClassifier lgbm;
+  lgbm.fit(train.x, train.y);
+  EXPECT_THROW((void)lgbm.predict_proba_nodewalk(narrow), InvalidArgument);
+  EXPECT_EQ(lgbm.predict_proba_nodewalk(train.x), lgbm.predict_proba(train.x));
+
+  CatBoostClassifier catboost;
+  catboost.fit(train.x, train.y);
+  EXPECT_THROW((void)catboost.predict_proba_nodewalk(narrow), InvalidArgument);
+  EXPECT_EQ(catboost.predict_proba_nodewalk(train.x),
+            catboost.predict_proba(train.x));
+}
+
 TEST(DecisionTree, PureLeafStopsSplitting) {
   const Matrix x = Matrix::from_rows({{0.0}, {0.1}, {0.9}, {1.0}});
   const std::vector<int> y = {0, 0, 1, 1};

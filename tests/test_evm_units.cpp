@@ -120,7 +120,7 @@ TEST(Assembler, ForwardAndBackwardLabels) {
   // Layout: PUSH2 hi lo (0-2), JUMP (3), STOP (4), JUMPDEST (5).
   EXPECT_EQ(code.bytes()[1], 0x00);
   EXPECT_EQ(code.bytes()[2], 0x05);
-  EXPECT_TRUE(code.is_valid_jump_dest(5));
+  EXPECT_TRUE(code.jump_destinations()[5]);
 }
 
 TEST(Assembler, ErrorsOnMisuse) {

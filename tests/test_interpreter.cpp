@@ -179,6 +179,27 @@ TEST_F(InterpreterTest, JumpIntoPushImmediateIsInvalid) {
             Status::kInvalidJump);
 }
 
+TEST_F(InterpreterTest, JumpAtOrPastCodeEndIsInvalid) {
+  // PUSH1 0x63 JUMP — far past the 3-byte code.
+  EXPECT_EQ(run(Bytecode::from_hex("0x606356")).status, Status::kInvalidJump);
+  // PUSH1 0x04 JUMP JUMPDEST — one past the last byte (a JUMPDEST).
+  EXPECT_EQ(run(Bytecode::from_hex("0x6004565b")).status,
+            Status::kInvalidJump);
+  // PUSH1 0x01 PUSH1 0x63 JUMPI — taken (nonzero condition), out of range.
+  EXPECT_EQ(run(Bytecode::from_hex("0x6001606357")).status,
+            Status::kInvalidJump);
+  // PUSH1 0x01 PUSH1 0x06 JUMPI JUMPDEST — taken, one past the end.
+  EXPECT_EQ(run(Bytecode::from_hex("0x60016006575b")).status,
+            Status::kInvalidJump);
+  // PUSH1 0x00 PUSH1 0x63 JUMPI STOP — not taken, so the target is unchecked.
+  EXPECT_EQ(run(Bytecode::from_hex("0x600060635700")).status,
+            Status::kSuccess);
+  // PUSH9 2^64+11 JUMP JUMPDEST STOP — the low 64 bits name the JUMPDEST at
+  // offset 11, but the target does not fit in 64 bits.
+  EXPECT_EQ(run(Bytecode::from_hex("0x6801000000000000000b565b00")).status,
+            Status::kInvalidJump);
+}
+
 TEST_F(InterpreterTest, StackUnderflowAndOverflow) {
   EXPECT_EQ(run(Bytecode::from_hex("0x01")).status, Status::kStackUnderflow);
   // 1025 pushes overflow the stack.

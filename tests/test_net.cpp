@@ -608,18 +608,18 @@ class FirstByteScorer final : public ml::Scorer {
   std::string name() const override { return "first-byte"; }
 };
 
-/// Explorer whose eth_getCode can be held shut, so a test decides how long
-/// a row stays inside the engine.
+/// Explorer whose code fetch (get_code, the engine's path) can be held
+/// shut, so a test decides how long a row stays inside the engine.
 class GatedExplorer final : public chain::Explorer {
  public:
   using chain::Explorer::Explorer;
 
-  std::string eth_get_code(const evm::Address& address) const override {
+  evm::Bytecode get_code(const evm::Address& address) const override {
     std::unique_lock<std::mutex> lock(mutex_);
     ++entered_;
     cv_.notify_all();
     cv_.wait(lock, [this] { return open_; });
-    return chain::Explorer::eth_get_code(address);
+    return chain::Explorer::get_code(address);
   }
   void close() {
     std::lock_guard<std::mutex> lock(mutex_);

@@ -1,6 +1,10 @@
 // Opcode registry invariants (Table I) and disassembler behaviour (BDM).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "evm/bytecode.hpp"
 #include "evm/disassembler.hpp"
@@ -89,15 +93,65 @@ TEST(Bytecode, CodeHashMatchesKeccak) {
   EXPECT_EQ(code.code_hash(), keccak256(code.bytes()));
 }
 
+// The digest is stored with the bytes, so it must follow them through
+// every way a Bytecode is made, copied or moved.
+void expect_hash_matches_bytes(const Bytecode& code) {
+  EXPECT_EQ(code.code_hash(), keccak256(code.bytes()));
+}
+
+TEST(Bytecode, StoredHashHoldsForEveryConstructor) {
+  const Bytecode empty;
+  expect_hash_matches_bytes(empty);
+  EXPECT_EQ(empty.code_hash(), kEmptyKeccak);
+  EXPECT_EQ(kEmptyKeccak, keccak256(std::string()));
+  expect_hash_matches_bytes(Bytecode(std::vector<std::uint8_t>{0x60, 0x80}));
+  expect_hash_matches_bytes(Bytecode(std::vector<std::uint8_t>{}));
+  expect_hash_matches_bytes(Bytecode::from_hex("0x6080604052"));
+  expect_hash_matches_bytes(Bytecode::from_hex("0x"));
+}
+
+TEST(Bytecode, StoredHashFollowsCopies) {
+  const Bytecode source = Bytecode::from_hex("0x6080604052");
+  const Bytecode copied(source);
+  expect_hash_matches_bytes(copied);
+  EXPECT_EQ(copied, source);
+  Bytecode assigned = Bytecode::from_hex("0x00");
+  assigned = source;
+  expect_hash_matches_bytes(assigned);
+  EXPECT_EQ(assigned.code_hash(), source.code_hash());
+  expect_hash_matches_bytes(source);
+}
+
+TEST(Bytecode, StoredHashFollowsMovesAndMovedFromReadsEmpty) {
+  Bytecode source = Bytecode::from_hex("0x6080604052");
+  const Hash256 digest = source.code_hash();
+  Bytecode moved(std::move(source));
+  expect_hash_matches_bytes(moved);
+  EXPECT_EQ(moved.code_hash(), digest);
+  // The moved-from state is part of the contract under test.
+  EXPECT_TRUE(source.empty());
+  EXPECT_EQ(source.code_hash(), kEmptyKeccak);
+  expect_hash_matches_bytes(source);
+
+  Bytecode assigned = Bytecode::from_hex("0x00");
+  assigned = std::move(moved);
+  expect_hash_matches_bytes(assigned);
+  EXPECT_EQ(assigned.code_hash(), digest);
+  EXPECT_TRUE(moved.empty());
+  EXPECT_EQ(moved.code_hash(), kEmptyKeccak);
+  expect_hash_matches_bytes(moved);
+}
+
+// Carrying the digest must not grow the value: a Bytecode stays within the
+// 64 bytes (byte vector + vector<bool> JUMPDEST memo) it used to take.
+static_assert(sizeof(Bytecode) <= 64, "Bytecode grew");
+
 TEST(Bytecode, JumpdestInsidePushDataIsInvalid) {
   // PUSH2 0x5B5B JUMPDEST: the 0x5B bytes at offsets 1-2 are immediates;
   // only offset 3 is a real JUMPDEST.
   const Bytecode code = Bytecode::from_hex("0x615b5b5b");
-  EXPECT_FALSE(code.is_valid_jump_dest(1));
-  EXPECT_FALSE(code.is_valid_jump_dest(2));
-  EXPECT_TRUE(code.is_valid_jump_dest(3));
-  EXPECT_FALSE(code.is_valid_jump_dest(0));
-  EXPECT_FALSE(code.is_valid_jump_dest(99));
+  EXPECT_EQ(code.jump_destinations(),
+            (std::vector<bool>{false, false, false, true}));
 }
 
 TEST(Disassembler, PaperExample) {

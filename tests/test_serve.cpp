@@ -9,9 +9,11 @@
 #include <sstream>
 #include <thread>
 
+#include "chain/fault_injection.hpp"
 #include "common/binary_io.hpp"
 #include "common/thread_pool.hpp"
 #include "common/timer.hpp"
+#include "core/bem.hpp"
 #include "ml/logistic_regression.hpp"
 #include "ml/random_forest.hpp"
 #include "obs/metrics.hpp"
@@ -189,18 +191,41 @@ void write_nodes(std::ostream& out, const std::vector<ml::TreeNode>& nodes) {
   }
 }
 
-/// A "phook.dtree.v1" record (DecisionTreeClassifier::load_payload).
-std::string tree_record(const std::vector<ml::TreeNode>& nodes) {
+/// An untagged decision-tree payload (DecisionTreeClassifier::load_payload)
+/// declaring `n_features` columns, with two importances.
+std::string tree_payload(const std::vector<ml::TreeNode>& nodes,
+                         std::uint64_t n_features = 2) {
   std::ostringstream out;
-  common::write_string(out, "phook.dtree.v1");
   common::write_i32(out, 4);  // max_depth
   for (int field = 0; field < 4; ++field) {
     common::write_u64(out, 1);  // min_samples_leaf/split, max_features, seed
   }
-  common::write_u64(out, 2);  // n_features
+  common::write_u64(out, n_features);
   write_nodes(out, nodes);
   common::write_doubles(out, {0.5, 0.5});  // importances
   return out.str();
+}
+
+/// A "phook.dtree.v1" record.
+std::string tree_record(const std::vector<ml::TreeNode>& nodes) {
+  std::ostringstream out;
+  common::write_string(out, "phook.dtree.v1");
+  return out.str() + tree_payload(nodes);
+}
+
+/// A one-tree "phook.rf.v1" record; the forest declares `n_features`
+/// columns, its tree payload two.
+std::string forest_record(std::uint64_t n_features) {
+  std::ostringstream out;
+  common::write_string(out, "phook.rf.v1");
+  common::write_i32(out, 1);  // n_trees
+  common::write_i32(out, 4);  // max_depth
+  for (int field = 0; field < 3; ++field) {
+    common::write_u64(out, 1);  // min_samples_leaf, max_features, seed
+  }
+  common::write_u64(out, n_features);
+  common::write_u64(out, 1);  // tree count
+  return out.str() + tree_payload(stump());
 }
 
 /// A one-tree "phook.xgb.v1" record (read_tree_nodes).
@@ -285,6 +310,37 @@ TEST(Artifact, RejectsTreeFeatureOutOfRange) {
   // by it.
   expect_tree_records_rejected(
       [](std::vector<ml::TreeNode>& nodes) { nodes[0].feature = 1 << 21; });
+}
+
+TEST(Artifact, RejectsTreeFeatureAtOrPastStoredFeatureCount) {
+  // The dtree record stores n_features = 2: feature 1 is the last column a
+  // split may read.
+  ml::Matrix x(1, 2);
+  std::vector<ml::TreeNode> nodes = stump();
+  nodes[0].feature = 1;
+  ASSERT_EQ(load_classifier(tree_record(nodes))->predict_proba(x).size(), 1u);
+  nodes[0].feature = 2;
+  EXPECT_THROW(load_classifier(tree_record(nodes)), ParseError);
+}
+
+TEST(Artifact, RejectsTreeFeatureCountMismatches) {
+  // A declared feature count that is huge, disagrees with the importance
+  // vector, or disagrees with the enclosing forest: each would let a
+  // predict or an importance sum index past a vector.
+  const auto dtree = [](std::uint64_t n_features) {
+    std::ostringstream out;
+    common::write_string(out, "phook.dtree.v1");
+    return out.str() + tree_payload(stump(), n_features);
+  };
+  ASSERT_NO_THROW(load_classifier(dtree(2)));
+  EXPECT_THROW(load_classifier(dtree(std::uint64_t{1} << 40)), ParseError);
+  EXPECT_THROW(load_classifier(dtree(3)), ParseError);
+  std::istringstream forest(forest_record(2));
+  ASSERT_EQ(ml::RandomForestClassifier::load_from(forest)
+                .feature_importances()
+                .size(),
+            2u);
+  EXPECT_THROW(load_classifier(forest_record(3)), ParseError);
 }
 
 TEST(Artifact, RejectsCatBoostFeatureOutOfRange) {
@@ -648,6 +704,83 @@ TEST_F(ScoringEngineTest, ServingDoesNoPoolWork) {
   EXPECT_GT(engine.metrics().batches.value(), 0u);
   EXPECT_EQ(tasks.value(), before);
   common::ThreadPool::set_global_threads(0);
+}
+
+/// Counts every read the engine could make of the chain: the decoded
+/// fetch (get_code), the hex wire fetch (eth_get_code) and the label probe
+/// (flag_of, behind is_flagged_phishing). Forwards all three.
+class CountingExplorer final : public chain::Explorer {
+ public:
+  explicit CountingExplorer(const chain::Explorer& inner)
+      : chain::Explorer(inner.chain()), inner_(&inner) {}
+
+  evm::Bytecode get_code(const evm::Address& address) const override {
+    get_code_calls.fetch_add(1);
+    return inner_->get_code(address);
+  }
+  std::string eth_get_code(const evm::Address& address) const override {
+    eth_get_code_calls.fetch_add(1);
+    return inner_->eth_get_code(address);
+  }
+  chain::ContractFlag flag_of(const evm::Address& address) const override {
+    flag_of_calls.fetch_add(1);
+    return inner_->flag_of(address);
+  }
+
+  mutable std::atomic<std::uint64_t> get_code_calls{0};
+  mutable std::atomic<std::uint64_t> eth_get_code_calls{0};
+  mutable std::atomic<std::uint64_t> flag_of_calls{0};
+
+ private:
+  const chain::Explorer* inner_;
+};
+
+TEST_F(ScoringEngineTest, FetchesDecodedCodeOnceAndNeverProbesLabels) {
+  // Cache-missing batch: every request is fetched exactly once, decoded,
+  // with no hex round-trip and no label probe; verdicts stay bit-exact.
+  {
+    const CountingExplorer counting(*dataset().explorer);
+    serve::EngineConfig config;
+    config.workers = 2;
+    config.max_batch = 16;
+    serve::ScoringEngine engine(counting, *adapter_, config);
+    const std::vector<serve::ScoreResult> results =
+        engine.score_all(addresses_);
+    engine.shutdown();
+    EXPECT_GT(engine.cache_stats().misses, 16u);
+    EXPECT_EQ(counting.get_code_calls.load(), addresses_.size());
+    EXPECT_EQ(counting.eth_get_code_calls.load(), 0u);
+    EXPECT_EQ(counting.flag_of_calls.load(), 0u);
+    const std::vector<double> expected = direct_scores();
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      EXPECT_EQ(results[i].probability, expected[i]) << "address " << i;
+    }
+  }
+  // Chaos batch: one get_code per attempt, retries included, and the
+  // fault schedule sees exactly those fetches.
+  {
+    chain::FaultConfig faults;
+    faults.throw_rate = 0.25;
+    faults.empty_rate = 0.05;
+    faults.seed = 5;
+    const chain::FaultInjectingExplorer chaos(*dataset().explorer, faults);
+    const CountingExplorer counting(chaos);
+    serve::EngineConfig config;
+    config.workers = 2;
+    config.max_batch = 16;
+    config.extract_retry.max_attempts = 3;
+    config.extract_retry.base_delay_us = 1;
+    config.extract_retry.max_delay_us = 10;
+    serve::ScoringEngine engine(counting, *adapter_, config);
+    engine.score_all(addresses_);
+    engine.shutdown();
+    EXPECT_GT(engine.metrics().retries.value(), 0u);
+    EXPECT_EQ(counting.get_code_calls.load(),
+              addresses_.size() + engine.metrics().retries.value());
+    EXPECT_EQ(chaos.stats().calls, counting.get_code_calls.load());
+    EXPECT_EQ(counting.eth_get_code_calls.load(), 0u);
+    EXPECT_EQ(counting.flag_of_calls.load(), 0u);
+  }
 }
 
 TEST_F(ScoringEngineTest, MetricsDumpAfterTraffic) {

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "common/errors.hpp"
 #include "common/rng.hpp"
 #include "ml/shap.hpp"
 
@@ -112,6 +113,26 @@ TEST(TreeShap, AllRowsBatch) {
   const auto all = tree_shap_all(forest, blob.x);
   EXPECT_EQ(all.size(), blob.x.rows());
   EXPECT_EQ(all[0].values.size(), 3u);
+}
+
+TEST(TreeShap, RejectsRowNarrowerThanTheTree) {
+  // Only column 3 varies, so every split reads column 3.
+  Blob blob = make_blobs(40, 4, 3.0, 5);
+  for (std::size_t r = 0; r < blob.x.rows(); ++r) {
+    for (std::size_t c = 0; c < 3; ++c) blob.x.at(r, c) = 0.0;
+  }
+  DecisionTreeClassifier tree;
+  tree.fit(blob.x, blob.y);
+  const std::vector<double> narrow = {0.0, 0.0, 0.0};
+  EXPECT_THROW(tree_shap(tree.nodes(), narrow, 4), InvalidArgument);
+  EXPECT_THROW(tree_shap(tree.nodes(), blob.x.row(0), 3), InvalidArgument);
+  EXPECT_EQ(tree_shap(tree.nodes(), blob.x.row(0), 4).values.size(), 4u);
+  RandomForestConfig config;
+  config.n_trees = 4;
+  RandomForestClassifier forest(config);
+  forest.fit(blob.x, blob.y);
+  EXPECT_THROW(tree_shap(forest, narrow), InvalidArgument);
+  EXPECT_EQ(tree_shap(forest, blob.x.row(0)).values.size(), 4u);
 }
 
 TEST(TreeShap, UnfittedForestThrows) {

@@ -113,6 +113,48 @@ TEST(ChainMining, ContractsAfterReturnsStrictSuffixInChainOrder) {
   EXPECT_EQ(chain.contracts_after(0).size(), all.size());
 }
 
+// The code hash travels with the installed code, and nothing on a Bytecode
+// is written after construction, so readers sharing one account (or one
+// Bytecode object) never race each other or the miner. ci.sh runs this
+// binary under TSan: a lazily computed member coming back would fail there.
+TEST(LiveChainReads, ConcurrentCodeHashReadsWhileMining) {
+  stream::LiveChain live;
+  for (int b = 0; b < 4; ++b) live.mine_next_block();
+  const chain::ChainTail tail = live.explorer().crawl_after(0);
+  ASSERT_FALSE(tail.records.empty());
+  const chain::ContractRecord target = tail.records.front();
+  const evm::Bytecode shared = live.explorer().get_code(target.address);
+  ASSERT_FALSE(shared.empty());
+  ASSERT_EQ(shared.code_hash(), evm::keccak256(shared.bytes()));
+  const std::vector<bool> jump_dests = shared.jump_destinations();
+
+  std::atomic<bool> stop{false};
+  std::thread miner([&] {
+    for (int b = 0; b < 200 && (b < 8 || !stop.load()); ++b) {
+      live.mine_next_block();
+    }
+  });
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&] {
+      for (int i = 0; i < 500; ++i) {
+        const bool same =
+            live.explorer().get_code(target.address).code_hash() ==
+                target.code_hash &&
+            shared.code_hash() == target.code_hash &&
+            shared.jump_destinations() == jump_dests;
+        if (!same) mismatches.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& reader : readers) reader.join();
+  stop.store(true);
+  miner.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_GT(live.head_block(), tail.head_block);
+}
+
 TEST(ChainMinerTest, SameSeedProducesIdenticalChainsAndLabels) {
   auto build = [] {
     auto chain = std::make_unique<chain::ChainStore>();
@@ -513,7 +555,11 @@ stream::StreamReport run_coordinator(std::uint64_t max_requests,
   stream::StreamCoordinator coordinator(live, engine, config);
   coordinator.start();
   if (max_requests != 0) {
-    while (!coordinator.finished()) {
+    // The generator can hit max_requests before the miner reaches
+    // max_blocks (and drain() stops the miner), so wait for both: every
+    // run then mines the same chain, however fast scoring is.
+    while (!coordinator.finished() ||
+           live.miner_stats().blocks_mined < max_blocks) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   } else {
