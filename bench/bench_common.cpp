@@ -198,7 +198,8 @@ std::vector<ScalabilityCell> scalability_runs(
       cell.split = split;
       cell.train_seconds = train_timer.seconds();
       common::Timer inference_timer;
-      const auto predictions = model->predict(test_codes);
+      const auto predictions =
+          ml::threshold_predictions(model->score_probabilities(test_codes));
       cell.inference_seconds = inference_timer.seconds();
       cell.metrics = ml::compute_metrics(test_y, predictions);
       out.push_back(std::move(cell));

@@ -21,9 +21,10 @@
 # (stream_follower serving /metrics,/vars,/healthz on loopback mid-run,
 # exposition linted, health JSON schema-checked), and a JSON-RPC smoke
 # (score_server on ephemeral ports, a single phook_score plus a mixed batch
-# over real sockets, response shape and net_* metrics asserted), so the perf
-# trajectory, the telemetry surface, and the fault-isolation contract all
-# stay machine-checked across PRs. The ASan leg runs the full suite, including
+# over real sockets, response shape and net_* metrics asserted), plus the
+# servebench selftest (the serving benchmark builds and its gates hold), so
+# the perf trajectory, the telemetry surface, and the fault-isolation
+# contract all stay machine-checked across PRs. The ASan leg runs the full suite, including
 # the fast-vs-legacy equivalence tests (test_features_fast). The TSan leg
 # adds test_stream, racing the three streaming pipeline threads against the
 # engine workers' completions, and test_net, hammering the event loop with
@@ -717,6 +718,11 @@ check_trace build-ci-release/scanner_trace.json
 check_chaos_smoke build-ci-release/chaos_smoke.out
 run_scrape_smoke build-ci-release
 run_rpc_smoke build-ci-release
+# Serving benchmark selftest: builds servebench/ (its own CMake package over
+# ../src) and runs its verdict-gate selftest, so a src/ API change that
+# breaks the benchmark's build or its gates fails here.
+echo "=== servebench: selftest ==="
+python3 servebench/run.py --selftest
 
 run_variant asan address
 

@@ -52,7 +52,7 @@ int main() {
                                                codes.end());
   std::vector<int> test_labels(labels.begin() + static_cast<std::ptrdiff_t>(train_count),
                                labels.end());
-  const auto probs = model->predict_proba(test_codes);
+  const auto probs = model->score_probabilities(test_codes);
   const auto metrics = ml::compute_metrics(
       test_labels, ml::threshold_predictions(probs));
   std::printf("\nheld-out performance: accuracy %.1f%%, F1 %.1f%%\n",

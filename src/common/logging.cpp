@@ -12,17 +12,6 @@ namespace phishinghook::common {
 
 namespace {
 
-/// Reads PHISHINGHOOK_<suffix>, falling back to the legacy PHOOK_<suffix>;
-/// the new prefix wins when both are set.
-const char* dual_env(const char* suffix) {
-  std::string name = std::string("PHISHINGHOOK_") + suffix;
-  const char* value = std::getenv(name.c_str());
-  if (value != nullptr && *value != '\0') return value;
-  name = std::string("PHOOK_") + suffix;
-  value = std::getenv(name.c_str());
-  return (value != nullptr && *value != '\0') ? value : nullptr;
-}
-
 LogLevel parse_level(const char* text) {
   if (text == nullptr) return LogLevel::kInfo;
   const std::string_view v(text);
@@ -41,13 +30,13 @@ LogFormat parse_format(const char* text) {
 
 std::atomic<int>& level_storage() {
   static std::atomic<int> level{
-      static_cast<int>(parse_level(dual_env("LOG")))};
+      static_cast<int>(parse_level(std::getenv("PHISHINGHOOK_LOG")))};
   return level;
 }
 
 std::atomic<int>& format_storage() {
   static std::atomic<int> format{
-      static_cast<int>(parse_format(dual_env("LOG_FORMAT")))};
+      static_cast<int>(parse_format(std::getenv("PHISHINGHOOK_LOG_FORMAT")))};
   return format;
 }
 
@@ -134,8 +123,8 @@ void set_log_format(LogFormat format) {
 }
 
 void refresh_log_from_env() {
-  set_log_level(parse_level(dual_env("LOG")));
-  set_log_format(parse_format(dual_env("LOG_FORMAT")));
+  set_log_level(parse_level(std::getenv("PHISHINGHOOK_LOG")));
+  set_log_format(parse_format(std::getenv("PHISHINGHOOK_LOG_FORMAT")));
 }
 
 void set_log_writer(LogWriter writer) {

@@ -27,19 +27,29 @@ std::string_view category_label(ModelCategory category) {
   return "?";
 }
 
-// --- PhishingClassifier (ml::Scorer default) --------------------------------
+namespace {
 
-void PhishingClassifier::score_batch(const ml::BytecodeBatchView& view,
-                                     std::span<ml::ScoredRow> out) {
+/// The single-stage score_batch every adapter shares: rejects an `out` of
+/// the wrong length before any model work, skips an empty batch, runs
+/// `predict` (one probability per code, under the "model.predict" span)
+/// and writes stage-0, non-degraded rows.
+template <typename Predict>
+void score_single_stage(const std::string& name,
+                        const ml::BytecodeBatchView& view,
+                        std::span<ml::ScoredRow> out, Predict&& predict) {
   if (out.size() != view.size()) {
     throw InvalidArgument("score_batch: out span size " +
                           std::to_string(out.size()) + " != view size " +
                           std::to_string(view.size()));
   }
   if (view.empty()) return;
-  const std::vector<double> probabilities = predict_proba(view.to_vector());
+  std::vector<double> probabilities;
+  {
+    obs::ScopedSpan span("model.predict", name.c_str());
+    probabilities = predict();
+  }
   if (probabilities.size() != view.size()) {
-    throw StateError(name() + " predict_proba returned " +
+    throw StateError(name + " predict returned " +
                      std::to_string(probabilities.size()) + " rows for " +
                      std::to_string(view.size()) + " codes");
   }
@@ -47,6 +57,8 @@ void PhishingClassifier::score_batch(const ml::BytecodeBatchView& view,
     out[i] = ml::ScoredRow{probabilities[i], /*stage=*/0, /*degraded=*/false};
   }
 }
+
+}  // namespace
 
 // --- HistogramAdapter -------------------------------------------------------
 
@@ -68,10 +80,11 @@ void HistogramAdapter::fit(const std::vector<const Bytecode*>& codes,
   model_->fit(vocabulary_.transform_all(codes), labels);
 }
 
-std::vector<double> HistogramAdapter::predict_proba(
-    const std::vector<const Bytecode*>& codes) {
-  obs::ScopedSpan span("model.predict", name_.c_str());
-  return model_->predict_proba(vocabulary_.transform_all(codes));
+void HistogramAdapter::score_batch(const ml::BytecodeBatchView& view,
+                                   std::span<ml::ScoredRow> out) {
+  score_single_stage(name_, view, out, [&] {
+    return model_->predict_proba(vocabulary_.transform_all(view));
+  });
 }
 
 // --- VisionAdapter -----------------------------------------------------------
@@ -85,7 +98,7 @@ VisionAdapter::VisionAdapter(
       side_(side) {}
 
 std::vector<ml::nn::Tensor> VisionAdapter::encode(
-    const std::vector<const Bytecode*>& codes) const {
+    ml::BytecodeBatchView codes) const {
   std::vector<ml::nn::Tensor> out;
   out.reserve(codes.size());
   for (const Bytecode* code : codes) {
@@ -103,10 +116,10 @@ void VisionAdapter::fit(const std::vector<const Bytecode*>& codes,
   model_->fit(encode(codes), labels);
 }
 
-std::vector<double> VisionAdapter::predict_proba(
-    const std::vector<const Bytecode*>& codes) {
-  obs::ScopedSpan span("model.predict", name_.c_str());
-  return model_->predict_proba(encode(codes));
+void VisionAdapter::score_batch(const ml::BytecodeBatchView& view,
+                                std::span<ml::ScoredRow> out) {
+  score_single_stage(name_, view, out,
+                     [&] { return model_->predict_proba(encode(view)); });
 }
 
 // --- SequenceAdapter -----------------------------------------------------------
@@ -122,7 +135,7 @@ SequenceAdapter::SequenceAdapter(
       ngram_tokenizer_(ngram_vocab) {}
 
 std::vector<TokenSequence> SequenceAdapter::tokenize(
-    const std::vector<const Bytecode*>& codes) const {
+    ml::BytecodeBatchView codes) const {
   std::vector<TokenSequence> out;
   out.reserve(codes.size());
   for (const Bytecode* code : codes) {
@@ -140,10 +153,10 @@ void SequenceAdapter::fit(const std::vector<const Bytecode*>& codes,
   model_->fit(tokenize(codes), labels);
 }
 
-std::vector<double> SequenceAdapter::predict_proba(
-    const std::vector<const Bytecode*>& codes) {
-  obs::ScopedSpan span("model.predict", name_.c_str());
-  return model_->predict_proba(tokenize(codes));
+void SequenceAdapter::score_batch(const ml::BytecodeBatchView& view,
+                                  std::span<ml::ScoredRow> out) {
+  score_single_stage(name_, view, out,
+                     [&] { return model_->predict_proba(tokenize(view)); });
 }
 
 // --- registry ---------------------------------------------------------------------

@@ -26,27 +26,18 @@ enum class ModelCategory { kHistogram, kVision, kLanguage, kVulnerability };
 
 std::string_view category_label(ModelCategory category);
 
-/// A fit-capable detector over raw bytecodes. Every adapter is also an
-/// ml::Scorer, so a fitted classifier plugs straight into the serving
-/// path (ScoringEngine, CascadeScorer) with no further wrapping: the
-/// default score_batch routes through predict_proba and attributes every
-/// row to stage 0.
+/// A fit-capable detector over raw bytecodes: `fit` plus `category` on top
+/// of ml::Scorer. A fitted classifier is run only through score_batch (or
+/// score_probabilities), so the experiment harness and the serving path
+/// (ScoringEngine, CascadeScorer) share one inference contract. Every
+/// adapter's score_batch attributes each row to stage 0 and throws
+/// InvalidArgument when out.size() != view.size().
 class PhishingClassifier : public ml::Scorer {
  public:
   virtual void fit(const std::vector<const Bytecode*>& codes,
                    const std::vector<int>& labels) = 0;
-  virtual std::vector<double> predict_proba(
-      const std::vector<const Bytecode*>& codes) = 0;
-  std::vector<int> predict(const std::vector<const Bytecode*>& codes) {
-    return ml::threshold_predictions(predict_proba(codes));
-  }
 
   virtual ModelCategory category() const = 0;
-
-  /// ml::Scorer: single-stage scoring via predict_proba. Throws
-  /// InvalidArgument when out.size() != view.size().
-  void score_batch(const ml::BytecodeBatchView& view,
-                   std::span<ml::ScoredRow> out) override;
 };
 
 /// Histogram (HSC) adapter: vocabulary + a tabular classifier.
@@ -62,8 +53,8 @@ class HistogramAdapter final : public PhishingClassifier {
 
   void fit(const std::vector<const Bytecode*>& codes,
            const std::vector<int>& labels) override;
-  std::vector<double> predict_proba(
-      const std::vector<const Bytecode*>& codes) override;
+  void score_batch(const ml::BytecodeBatchView& view,
+                   std::span<ml::ScoredRow> out) override;
   std::string name() const override { return name_; }
   ModelCategory category() const override { return ModelCategory::kHistogram; }
 
@@ -92,14 +83,13 @@ class VisionAdapter final : public PhishingClassifier {
 
   void fit(const std::vector<const Bytecode*>& codes,
            const std::vector<int>& labels) override;
-  std::vector<double> predict_proba(
-      const std::vector<const Bytecode*>& codes) override;
+  void score_batch(const ml::BytecodeBatchView& view,
+                   std::span<ml::ScoredRow> out) override;
   std::string name() const override { return name_; }
   ModelCategory category() const override { return ModelCategory::kVision; }
 
  private:
-  std::vector<ml::nn::Tensor> encode(
-      const std::vector<const Bytecode*>& codes) const;
+  std::vector<ml::nn::Tensor> encode(ml::BytecodeBatchView codes) const;
 
   std::unique_ptr<ml::models::ImageClassifierModel> model_;
   std::string name_;
@@ -119,14 +109,13 @@ class SequenceAdapter final : public PhishingClassifier {
 
   void fit(const std::vector<const Bytecode*>& codes,
            const std::vector<int>& labels) override;
-  std::vector<double> predict_proba(
-      const std::vector<const Bytecode*>& codes) override;
+  void score_batch(const ml::BytecodeBatchView& view,
+                   std::span<ml::ScoredRow> out) override;
   std::string name() const override { return name_; }
   ModelCategory category() const override { return category_; }
 
  private:
-  std::vector<TokenSequence> tokenize(
-      const std::vector<const Bytecode*>& codes) const;
+  std::vector<TokenSequence> tokenize(ml::BytecodeBatchView codes) const;
 
   std::unique_ptr<ml::models::SequenceClassifierModel> model_;
   std::string name_;

@@ -36,33 +36,10 @@ namespace phishinghook::ml {
 
 class FlatTreeEnsemble;  // flat_tree.hpp
 
-/// Borrowed, non-owning view over a batch of deployed bytecodes (the
-/// pointer array idiom every adapter already consumes). The codes must
-/// outlive the score_batch call; nothing is copied.
-class BytecodeBatchView {
- public:
-  BytecodeBatchView() = default;
-  BytecodeBatchView(const evm::Bytecode* const* codes, std::size_t count)
-      : codes_(codes), count_(count) {}
-  /// View over an existing pointer batch (no copy).
-  explicit BytecodeBatchView(const std::vector<const evm::Bytecode*>& codes)
-      : codes_(codes.data()), count_(codes.size()) {}
-
-  const evm::Bytecode* const* data() const { return codes_; }
-  std::size_t size() const { return count_; }
-  bool empty() const { return count_ == 0; }
-  const evm::Bytecode& operator[](std::size_t i) const { return *codes_[i]; }
-
-  /// Materializes the pointer vector the legacy predict_proba interfaces
-  /// take (pointers only — the bytecodes themselves are not copied).
-  std::vector<const evm::Bytecode*> to_vector() const {
-    return std::vector<const evm::Bytecode*>(codes_, codes_ + count_);
-  }
-
- private:
-  const evm::Bytecode* const* codes_ = nullptr;
-  std::size_t count_ = 0;
-};
+/// Borrowed, non-owning view over a batch of deployed bytecodes. The
+/// codes must outlive the score_batch call; nothing is copied, and a
+/// `std::vector<const evm::Bytecode*>` converts implicitly.
+using BytecodeBatchView = std::span<const evm::Bytecode* const>;
 
 /// Per-row outcome of a Scorer invocation.
 struct ScoredRow {

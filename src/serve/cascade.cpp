@@ -100,7 +100,7 @@ void CascadeScorer::score_batch(const ml::BytecodeBatchView& view,
   for (std::size_t s = 1; s < stages_.size() && !uncertain.empty(); ++s) {
     sub_codes.clear();
     sub_codes.reserve(uncertain.size());
-    for (std::size_t idx : uncertain) sub_codes.push_back(view.data()[idx]);
+    for (std::size_t idx : uncertain) sub_codes.push_back(view[idx]);
     sub_rows.assign(uncertain.size(), ml::ScoredRow{});
 
     StageState& st = state_[s];
@@ -111,9 +111,7 @@ void CascadeScorer::score_batch(const ml::BytecodeBatchView& view,
     bool scored = false;
     try {
       obs::ScopedSpan span("cascade.stage", stages_[s]->name().c_str());
-      stages_[s]->score_batch(
-          ml::BytecodeBatchView(sub_codes.data(), sub_codes.size()),
-          sub_rows);
+      stages_[s]->score_batch(sub_codes, sub_rows);
       scored = true;
     } catch (...) {
       // Heavy-stage fault: the escalated rows keep the probability the

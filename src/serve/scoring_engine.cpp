@@ -342,8 +342,7 @@ void ScoringEngine::process_batch(std::vector<Request> batch) {
     const double predict_start_us = tracer.now_us();
     try {
       obs::ScopedSpan predict_span("serve.predict");
-      detector_->score_batch(
-          ml::BytecodeBatchView(miss_codes.data(), miss_codes.size()), rows);
+      detector_->score_batch(miss_codes, rows);
       scored = true;
     } catch (const std::exception& e) {
       model_error = e.what();

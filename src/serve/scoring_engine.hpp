@@ -47,6 +47,7 @@
 #include <deque>
 #include <functional>
 #include <mutex>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -160,9 +161,6 @@ class ScoringEngine {
 
   const ServiceMetrics& metrics() const { return metrics_; }
   CacheStats cache_stats() const { return cache_.stats(); }
-  void dump_metrics(std::ostream& out) const {
-    metrics_.dump(out, cache_.stats().hit_rate());
-  }
 
   /// The scorer this engine serves (e.g. for the RPC health handler to
   /// describe cascade stages).

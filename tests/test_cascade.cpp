@@ -67,7 +67,7 @@ class ByteProbScorer final : public ml::Scorer {
                    std::span<ml::ScoredRow> out) override {
     ASSERT_EQ(out.size(), view.size());
     for (std::size_t i = 0; i < view.size(); ++i) {
-      out[i] = ml::ScoredRow{static_cast<double>(view[i].bytes()[0]) / 100.0,
+      out[i] = ml::ScoredRow{static_cast<double>(view[i]->bytes()[0]) / 100.0,
                              0, false};
     }
   }
@@ -204,7 +204,7 @@ TEST(Cascade, DisabledBandIsBitIdenticalToStageZeroAlone) {
   const std::unique_ptr<core::HistogramAdapter> adapter = fitted_adapter(
       std::make_unique<ml::LogisticRegressionClassifier>(), "lr");
   const std::vector<const evm::Bytecode*> codes = dataset_codes();
-  const std::vector<double> direct = adapter->predict_proba(codes);
+  const std::vector<double> direct = adapter->score_probabilities(codes);
 
   std::vector<std::unique_ptr<ml::Scorer>> stages;
   stages.push_back(std::make_unique<BorrowedScorer>(*adapter));
@@ -435,8 +435,8 @@ TEST_F(CascadeEngineTest, HeavyFaultDegradesIsNotCachedAndHeals) {
   config.max_batch = 1;
   serve::ScoringEngine engine(*dataset().explorer, scorer, config);
 
-  const std::vector<double> direct =
-      stage0_->predict_proba({&dataset().samples.front().code});
+  const evm::Bytecode* front = &dataset().samples.front().code;
+  const std::vector<double> direct = stage0_->score_probabilities({&front, 1});
 
   // First request: the heavy stage throws, the row degrades to stage 0.
   const serve::ScoreResult degraded =
@@ -562,7 +562,7 @@ TEST(CascadeArtifact, VersionOneArtifactStillLoads) {
   const std::unique_ptr<ml::Scorer> loaded = serve::load_scorer_artifact(v1);
   EXPECT_EQ(loaded->name(), "legacy-lr");
   const std::vector<const evm::Bytecode*> codes = dataset_codes();
-  const std::vector<double> expected = adapter->predict_proba(codes);
+  const std::vector<double> expected = adapter->score_probabilities(codes);
   const std::vector<double> actual = loaded->score_probabilities(
       ml::BytecodeBatchView(codes.data(), codes.size()));
   for (std::size_t i = 0; i < codes.size(); ++i) {

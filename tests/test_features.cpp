@@ -35,8 +35,9 @@ TEST(HistogramVocabulary, MatrixShape) {
   const Bytecode a = Bytecode::from_hex("0x6080604052");
   const Bytecode b = Bytecode::from_hex("0x00");
   HistogramVocabulary vocab;
-  vocab.fit({&a, &b});
-  const ml::Matrix m = vocab.transform_all({&a, &b});
+  const std::vector<const Bytecode*> corpus = {&a, &b};
+  vocab.fit(corpus);
+  const ml::Matrix m = vocab.transform_all(corpus);
   EXPECT_EQ(m.rows(), 2u);
   EXPECT_EQ(m.cols(), vocab.size());
 }

@@ -601,7 +601,7 @@ class FirstByteScorer final : public ml::Scorer {
   void score_batch(const ml::BytecodeBatchView& view,
                    std::span<ml::ScoredRow> out) override {
     for (std::size_t i = 0; i < view.size(); ++i) {
-      out[i] = ml::ScoredRow{static_cast<double>(view[i].bytes()[0]) / 100.0,
+      out[i] = ml::ScoredRow{static_cast<double>(view[i]->bytes()[0]) / 100.0,
                              0, false};
     }
   }

@@ -971,23 +971,20 @@ TEST_F(ObsLoggingTest, EventsBelowLevelAreSuppressed) {
 }
 
 TEST(ObsLoggingEnv, NewPrefixWinsOverLegacy) {
-  setenv("PHOOK_LOG", "error", 1);
   setenv("PHISHINGHOOK_LOG", "debug", 1);
+  setenv("PHISHINGHOOK_LOG_FORMAT", "json", 1);
   common::refresh_log_from_env();
   EXPECT_EQ(common::log_level(), common::LogLevel::kDebug);
-
-  unsetenv("PHISHINGHOOK_LOG");
-  common::refresh_log_from_env();
-  EXPECT_EQ(common::log_level(), common::LogLevel::kError);
-
-  unsetenv("PHOOK_LOG");
-  setenv("PHOOK_LOG_FORMAT", "json", 1);
-  common::refresh_log_from_env();
   EXPECT_EQ(common::log_format(), common::LogFormat::kJson);
-  unsetenv("PHOOK_LOG_FORMAT");
+
+  // The short PHOOK_ prefix is not read.
+  unsetenv("PHISHINGHOOK_LOG");
+  unsetenv("PHISHINGHOOK_LOG_FORMAT");
+  setenv("PHOOK_LOG", "error", 1);
   common::refresh_log_from_env();
   EXPECT_EQ(common::log_level(), common::LogLevel::kInfo);
   EXPECT_EQ(common::log_format(), common::LogFormat::kText);
+  unsetenv("PHOOK_LOG");
 }
 
 // --- serve-stack integration -------------------------------------------------

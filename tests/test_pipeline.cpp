@@ -6,6 +6,7 @@
 #include <filesystem>
 
 #include "common/csv.hpp"
+#include "common/errors.hpp"
 #include "core/bdm.hpp"
 #include "core/bem.hpp"
 #include "core/experiment.hpp"
@@ -227,8 +228,11 @@ TEST(EndToEnd, EscortStaysNearChanceWhileRandomForestDetects) {
 }
 
 TEST(EndToEnd, EverySixteenModelFitsAndPredictsAtSmokeScale) {
-  // The full registry must at least train and emit valid probabilities on a
-  // small split (accuracy claims are the benches' job).
+  // Every registry model must train on a small split and then honour the
+  // ml::Scorer contract (accuracy claims are the benches' job): stage-0,
+  // non-degraded rows with probabilities in [0, 1]; a mismatched out span
+  // rejected; an empty batch a no-op; and row i depending only on code i,
+  // so scoring a code alone reproduces its batch row bit for bit.
   const BuiltDataset& dataset = shared_dataset();
   std::vector<const Bytecode*> codes = codes_of(dataset.samples);
   std::vector<int> labels = labels_of(dataset.samples);
@@ -244,11 +248,25 @@ TEST(EndToEnd, EverySixteenModelFitsAndPredictsAtSmokeScale) {
   for (const ModelSpec& spec : all_models(params)) {
     auto model = spec.make(7);
     model->fit(train, train_y);
-    const auto probs = model->predict_proba(test);
-    ASSERT_EQ(probs.size(), test.size()) << spec.name;
-    for (double p : probs) {
-      EXPECT_GE(p, 0.0) << spec.name;
-      EXPECT_LE(p, 1.0) << spec.name;
+    std::vector<ml::ScoredRow> rows(test.size());
+    model->score_batch(test, rows);
+    for (const ml::ScoredRow& row : rows) {
+      EXPECT_EQ(row.stage, 0u) << spec.name;
+      EXPECT_FALSE(row.degraded) << spec.name;
+      EXPECT_GE(row.probability, 0.0) << spec.name;
+      EXPECT_LE(row.probability, 1.0) << spec.name;
+    }
+
+    std::vector<ml::ScoredRow> short_out(test.size() - 1);
+    EXPECT_THROW(model->score_batch(test, short_out), InvalidArgument)
+        << spec.name;
+    model->score_batch(ml::BytecodeBatchView(), {});
+
+    for (std::size_t i = 0; i < test.size(); ++i) {
+      const std::vector<double> alone =
+          model->score_probabilities({&test[i], 1});
+      ASSERT_EQ(alone.size(), 1u) << spec.name;
+      EXPECT_EQ(alone[0], rows[i].probability) << spec.name << " row " << i;
     }
   }
 }

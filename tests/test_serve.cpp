@@ -88,8 +88,8 @@ TEST(Artifact, RandomForestRoundTripIsBitIdentical) {
   // 100+ codes, exact equality — doubles travel as raw bits.
   std::vector<const evm::Bytecode*> codes = dataset_codes();
   ASSERT_GE(codes.size(), 100u);
-  const std::vector<double> expected = adapter.predict_proba(codes);
-  const std::vector<double> actual = loaded->predict_proba(codes);
+  const std::vector<double> expected = adapter.score_probabilities(codes);
+  const std::vector<double> actual = loaded->score_probabilities(codes);
   ASSERT_EQ(expected.size(), actual.size());
   for (std::size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(expected[i], actual[i]) << "row " << i;
@@ -108,8 +108,8 @@ TEST(Artifact, LogisticRegressionRoundTripIsBitIdentical) {
       serve::load_artifact(buffer);
 
   std::vector<const evm::Bytecode*> codes = dataset_codes();
-  const std::vector<double> expected = adapter.predict_proba(codes);
-  const std::vector<double> actual = loaded->predict_proba(codes);
+  const std::vector<double> expected = adapter.score_probabilities(codes);
+  const std::vector<double> actual = loaded->score_probabilities(codes);
   for (std::size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(expected[i], actual[i]) << "row " << i;
   }
@@ -484,43 +484,14 @@ TEST(Metrics, DumpContainsCountersAndOccupancy) {
   EXPECT_DOUBLE_EQ(metrics.mean_batch_occupancy(), 5.0);
 
   std::ostringstream out;
-  metrics.dump(out, 0.75);
+  metrics.registry.write_prometheus(out);
   const std::string text = out.str();
-  EXPECT_NE(text.find("serve_requests_completed 10"), std::string::npos);
-  EXPECT_NE(text.find("serve_batch_occupancy_mean 5"), std::string::npos);
-  EXPECT_NE(text.find("serve_cache_hit_rate 0.75"), std::string::npos);
-}
-
-TEST(Metrics, DumpFormatIsByteStable) {
-  // The dump() exposition is a public text interface (scrapers parse it);
-  // this pins every line and the ostream double formatting exactly.
-  serve::ServiceMetrics metrics;
-  metrics.requests_submitted.inc(10);
-  metrics.requests_completed.inc(10);
-  metrics.batches.inc(2);
-  metrics.batched_requests.inc(10);
-  metrics.request_latency.record(50.0);  // single sample: every quantile 50
-
-  std::ostringstream out;
-  metrics.dump(out, 0.75);
-  EXPECT_EQ(out.str(),
-            "serve_requests_submitted 10\n"
-            "serve_requests_completed 10\n"
-            "serve_requests_failed 0\n"
-            "serve_requests_shed 0\n"
-            "serve_retries 0\n"
-            "serve_empty_code_requests 0\n"
-            "serve_batches_total 2\n"
-            "serve_batch_occupancy_mean 5\n"
-            "serve_model_invocations 0\n"
-            "serve_model_rows 0\n"
-            "serve_cache_hit_rate 0.75\n"
-            "serve_request_latency_us_p50 50\n"
-            "serve_request_latency_us_p95 50\n"
-            "serve_request_latency_us_p99 50\n"
-            "serve_request_latency_us_max 50\n"
-            "serve_batch_latency_us_p50 0\n"
-            "serve_batch_latency_us_p99 0\n");
+  EXPECT_NE(text.find("\nserve_requests_completed 10\n"), std::string::npos);
+  EXPECT_NE(text.find("\nserve_batches_total 2\n"), std::string::npos);
+  EXPECT_NE(text.find("\nserve_batched_requests_total 10\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("\nserve_request_latency_us_count 1\n"),
+            std::string::npos);
 }
 
 TEST(Metrics, ScopedTimerFeedsSink) {
@@ -570,9 +541,10 @@ class ScoringEngineTest : public ::testing::Test {
     std::vector<double> out;
     for (const evm::Address& address : addresses_) {
       const core::ExtractedContract contract = bem.extract(address);
-      out.push_back(contract.code.empty()
+      const evm::Bytecode* code = &contract.code;
+      out.push_back(code->empty()
                         ? 0.0
-                        : adapter_->predict_proba({&contract.code}).front());
+                        : adapter_->score_probabilities({&code, 1}).front());
     }
     return out;
   }
@@ -791,8 +763,14 @@ TEST_F(ScoringEngineTest, MetricsDumpAfterTraffic) {
   engine.score_all(addresses_);  // second pass: warm cache
 
   std::ostringstream out;
-  engine.dump_metrics(out);
-  EXPECT_NE(out.str().find("serve_request_latency_us_p95"), std::string::npos);
+  engine.dump_prometheus(out);
+  const std::string text = out.str();
+  EXPECT_NE(text.find("serve_request_latency_us{quantile=\"0.95\"}"),
+            std::string::npos);
+  EXPECT_NE(text.find("\nserve_requests_completed " +
+                      std::to_string(2 * addresses_.size()) + "\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("\nserve_cache_hit_rate "), std::string::npos);
   EXPECT_GT(engine.metrics().batches.value(), 0u);
   EXPECT_GT(engine.metrics().mean_batch_occupancy(), 0.0);
   EXPECT_GT(engine.cache_stats().hit_rate(), 0.4);

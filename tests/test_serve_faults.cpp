@@ -64,31 +64,23 @@ std::vector<evm::Address> all_addresses() {
   return out;
 }
 
-/// Detector decorator whose predict_proba can be told to throw — the
-/// "model backend fell over" half of the chaos matrix.
-class FailingDetector final : public core::PhishingClassifier {
+/// Scorer decorator whose score_batch can be told to throw — the "model
+/// backend fell over" half of the chaos matrix.
+class FailingDetector final : public ml::Scorer {
  public:
-  explicit FailingDetector(core::PhishingClassifier& inner)
-      : inner_(&inner) {}
+  explicit FailingDetector(ml::Scorer& inner) : inner_(&inner) {}
 
-  void fit(const std::vector<const evm::Bytecode*>& codes,
-           const std::vector<int>& labels) override {
-    inner_->fit(codes, labels);
-  }
-  std::vector<double> predict_proba(
-      const std::vector<const evm::Bytecode*>& codes) override {
+  void score_batch(const ml::BytecodeBatchView& view,
+                   std::span<ml::ScoredRow> out) override {
     if (fail.load()) throw Error("model backend exploded");
-    return inner_->predict_proba(codes);
+    inner_->score_batch(view, out);
   }
   std::string name() const override { return "failing"; }
-  core::ModelCategory category() const override {
-    return inner_->category();
-  }
 
   std::atomic<bool> fail{false};
 
  private:
-  core::PhishingClassifier* inner_;
+  ml::Scorer* inner_;
 };
 
 /// Sum of the three terminal counters; must equal submissions once the
@@ -346,7 +338,7 @@ TEST(ChaosEngine, CacheHitsAndEmptyCodeSurviveModelFailure) {
           .get();
 
   // The cache hit and the empty-code answer are valid results and must be
-  // delivered even though predict_proba threw for the same traffic.
+  // delivered even though score_batch threw for the same traffic.
   EXPECT_EQ(hit.status, serve::ScoreStatus::kOk);
   EXPECT_TRUE(hit.cache_hit);
   EXPECT_EQ(hit.probability, warmed.probability);
