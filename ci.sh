@@ -27,7 +27,8 @@
 # contract all stay machine-checked across PRs. The ASan leg runs the full suite, including
 # the fast-vs-legacy equivalence tests (test_features_fast). The TSan leg
 # adds test_stream, racing the three streaming pipeline threads against the
-# engine workers' completions, and test_net, hammering the event loop with
+# engine workers' completions and holding the tests of the shared hand-off
+# primitives (common::BoundedQueue, common::InFlight), and test_net, hammering the event loop with
 # concurrent clients and racing RpcFrontend::stop() against a completion.
 #
 #   ./ci.sh            # all three variants
@@ -730,7 +731,8 @@ run_variant asan address
 # only the suites with actual cross-thread state: the serving engine, its
 # chaos/fault-injection suite, the cascade suite (worker-count determinism
 # and degraded-path accounting), the thread-pool unit tests, the pool-backed
-# training determinism suite, the telemetry layer, and the socket/JSON-RPC
+# training determinism suite, the telemetry layer, the streaming suite
+# (which also holds the BoundedQueue/InFlight tests), and the socket/JSON-RPC
 # front end (event loop under concurrent clients, stop() with a reply owed).
 run_variant tsan thread "-R test_serve|test_serve_faults|test_cascade|test_thread_pool|test_parallel_determinism|test_obs|test_stream|test_net"
 

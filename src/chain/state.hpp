@@ -24,23 +24,11 @@ using evm::Address;
 using evm::Bytecode;
 using evm::U256;
 
-/// Hash functor so U256 can key the storage map.
-struct U256Hash {
-  std::size_t operator()(const U256& value) const {
-    const auto& limbs = value.limbs();
-    std::size_t h = 0x9E3779B97F4A7C15ULL;
-    for (std::uint64_t limb : limbs) {
-      h ^= limb + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
-    }
-    return h;
-  }
-};
-
 struct Account {
   U256 balance;
   std::uint64_t nonce = 0;
   Bytecode code;
-  std::unordered_map<U256, U256, U256Hash> storage;
+  std::unordered_map<U256, U256> storage;
 };
 
 class State final : public evm::Host {

@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <exception>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <string>
 
 #include "common/errors.hpp"
@@ -43,11 +45,9 @@ PoolInstruments& pool_instruments() {
 std::mutex g_global_mutex;
 std::unique_ptr<ThreadPool> g_global_pool;
 
-// One parallel region: chunks still in flight plus the first exception.
-struct Region {
+// First exception thrown by any chunk of one parallel region.
+struct RegionError {
   std::mutex m;
-  std::condition_variable done;
-  std::size_t pending = 0;
   std::exception_ptr error;
 
   void record(std::exception_ptr e) {
@@ -71,11 +71,7 @@ ThreadPool::ThreadPool(std::size_t threads) : threads_(threads) {
 }
 
 ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stopping_ = true;
-  }
-  cv_.notify_all();
+  jobs_.close();  // queued chunks still run: workers exit once it drains
   for (std::thread& worker : workers_) {
     if (worker.joinable()) worker.join();
   }
@@ -83,19 +79,11 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::worker_loop() {
   t_in_worker = true;
-  for (;;) {
-    std::function<void()> job;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      cv_.wait(lock, [&] { return stopping_ || !jobs_.empty(); });
-      if (jobs_.empty()) return;  // stopping and drained
-      job = std::move(jobs_.front());
-      jobs_.pop_front();
-      pool_instruments().queue_depth.set(static_cast<double>(jobs_.size()));
-    }
-    PoolInstruments& instruments = pool_instruments();
+  PoolInstruments& instruments = pool_instruments();
+  while (std::optional<std::function<void()>> job = jobs_.pop()) {
+    instruments.queue_depth.set(static_cast<double>(jobs_.size()));
     const auto start = std::chrono::steady_clock::now();
-    job();
+    (*job)();
     instruments.task_us.record(
         std::chrono::duration<double, std::micro>(
             std::chrono::steady_clock::now() - start)
@@ -113,42 +101,38 @@ void ThreadPool::parallel_for_chunks(
   }
 
   const std::size_t chunks = std::min(threads_, n);
-  auto region = std::make_shared<Region>();
-  region->pending = chunks - 1;
+  // Both live on this frame: the caller blocks in wait_idle() until every
+  // chunk has left, and leave() is a chunk's last touch of either.
+  InFlight pending;
+  RegionError region;
 
   pool_instruments().regions.inc();
   obs::ScopedSpan span("pool.region");
 
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (std::size_t c = 1; c < chunks; ++c) {
-      const std::size_t begin = c * n / chunks;
-      const std::size_t end = (c + 1) * n / chunks;
-      // `fn` outlives the job: the caller blocks on the region until every
-      // chunk has finished.
-      jobs_.emplace_back([&fn, region, begin, end] {
-        try {
-          fn(begin, end);
-        } catch (...) {
-          region->record(std::current_exception());
-        }
-        std::lock_guard<std::mutex> lock(region->m);
-        if (--region->pending == 0) region->done.notify_all();
-      });
-    }
-    pool_instruments().queue_depth.set(static_cast<double>(jobs_.size()));
+  for (std::size_t c = 1; c < chunks; ++c) {
+    const std::size_t begin = c * n / chunks;
+    const std::size_t end = (c + 1) * n / chunks;
+    pending.enter();
+    // Unbounded, and open while the pool lives, so the push cannot fail.
+    jobs_.push([&fn, &pending, &region, begin, end] {
+      try {
+        fn(begin, end);
+      } catch (...) {
+        region.record(std::current_exception());
+      }
+      pending.leave();
+    });
   }
-  cv_.notify_all();
+  pool_instruments().queue_depth.set(static_cast<double>(jobs_.size()));
 
   try {
     fn(0, n / chunks);  // chunk 0 on the calling thread
   } catch (...) {
-    region->record(std::current_exception());
+    region.record(std::current_exception());
   }
 
-  std::unique_lock<std::mutex> lock(region->m);
-  region->done.wait(lock, [&] { return region->pending == 0; });
-  if (region->error) std::rethrow_exception(region->error);
+  pending.wait_idle();
+  if (region.error) std::rethrow_exception(region.error);
 }
 
 void ThreadPool::parallel_for(std::size_t n,

@@ -17,13 +17,12 @@
 // features, hyper-search over trials -> CV over folds).
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <functional>
-#include <mutex>
 #include <thread>
 #include <vector>
+
+#include "common/bounded_queue.hpp"
 
 namespace phishinghook::common {
 
@@ -85,10 +84,7 @@ class ThreadPool {
 
   std::size_t threads_ = 1;
 
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  std::deque<std::function<void()>> jobs_;
-  bool stopping_ = false;
+  BoundedQueue<std::function<void()>> jobs_{kUnbounded};
   std::vector<std::thread> workers_;
 };
 

@@ -278,7 +278,7 @@ void FrequencyEncoder::fit(const std::vector<const Bytecode*>& corpus) {
   // accumulate into a value-keyed hash table reserved up front — no string
   // keys, no per-instruction allocation.
   std::array<double, 256> byte_counts{};
-  std::unordered_map<evm::U256, double, detail::U256Hash> operand_counts;
+  std::unordered_map<evm::U256, double> operand_counts;
   std::size_t corpus_bytes = 0;
   for (const Bytecode* code : corpus) corpus_bytes += code->size();
   operand_counts.reserve(std::max<std::size_t>(corpus_bytes / 8, 64));

@@ -44,33 +44,6 @@ namespace phishinghook::core {
 using evm::Bytecode;
 using ml::models::TokenSequence;
 
-namespace detail {
-
-/// Hash for U256 operand keys (mixes the four limbs).
-struct U256Hash {
-  std::size_t operator()(const evm::U256& value) const {
-    std::uint64_t h = 0x9e3779b97f4a7c15ULL;
-    for (std::uint64_t limb : value.limbs()) {
-      h ^= limb + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-    }
-    return static_cast<std::size_t>(h);
-  }
-};
-
-/// Hash for code-hash keys; leading keccak bytes are uniform already.
-struct CodeHashHash {
-  std::size_t operator()(const evm::Hash256& hash) const {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(hash[static_cast<std::size_t>(i)])
-           << (8 * i);
-    }
-    return static_cast<std::size_t>(v);
-  }
-};
-
-}  // namespace detail
-
 // --- opcode histograms -------------------------------------------------------
 
 /// Mnemonic vocabulary learned from a training corpus.
@@ -175,13 +148,13 @@ class FrequencyEncoder {
   // Compiled fast-path state.
   std::array<double, 256> mnemonic_lut_{};  ///< byte -> R intensity
   std::array<double, 256> gas_lut_{};       ///< byte -> B intensity
-  std::unordered_map<evm::U256, double, detail::U256Hash>
+  std::unordered_map<evm::U256, double>
       operand_value_table_;  ///< PUSH immediate value -> G intensity
   double dash_freq_ = 0.0;   ///< G intensity of operand-less instructions
   /// Interned per-code pixel streams for the fitted corpus, keyed by code
   /// hash (computed once per fit pass).
   std::unordered_map<evm::Hash256, std::vector<std::array<float, 3>>,
-                     detail::CodeHashHash>
+                     evm::DigestHash>
       fit_cache_;
 };
 

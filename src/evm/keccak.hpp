@@ -5,6 +5,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -12,6 +13,19 @@
 namespace phishinghook::evm {
 
 using Hash256 = std::array<std::uint8_t, 32>;
+
+/// Hash functor for digest-keyed unordered containers (code-hash caches,
+/// dedup sets). A Keccak digest is uniform already, so its first 8 bytes,
+/// read little-endian, are the hash — no re-mixing.
+struct DigestHash {
+  std::size_t operator()(const Hash256& digest) const {
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < 8; ++i) {
+      v |= static_cast<std::uint64_t>(digest[i]) << (8 * i);
+    }
+    return static_cast<std::size_t>(v);
+  }
+};
 
 /// keccak256("") — the code hash of an account with no code.
 inline constexpr Hash256 kEmptyKeccak = {

@@ -10,7 +10,9 @@
 
 #include <array>
 #include <compare>
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -139,3 +141,16 @@ class U256 {
 };
 
 }  // namespace phishinghook::evm
+
+/// Hash support so U256 can key unordered containers (account storage,
+/// PUSH-operand tables): a boost-style combine over the four limbs.
+template <>
+struct std::hash<phishinghook::evm::U256> {
+  std::size_t operator()(const phishinghook::evm::U256& value) const {
+    std::uint64_t h = 0x9e3779b97f4a7c15ULL;
+    for (std::uint64_t limb : value.limbs()) {
+      h ^= limb + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+    }
+    return static_cast<std::size_t>(h);
+  }
+};

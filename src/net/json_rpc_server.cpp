@@ -151,14 +151,11 @@ void JsonRpcServer::register_method(std::string method, Handler handler) {
 }
 
 void JsonRpcServer::stop() {
-  {
-    // Frames in flight still reply; each completion posts its response
-    // before leaving the count, and the loop's final task drain (inside
-    // SocketServer::stop) writes them.
-    std::unique_lock<std::mutex> lock(flight_mutex_);
-    stopping_ = true;
-    flight_cv_.wait(lock, [this] { return in_flight_ == 0; });
-  }
+  // Frames in flight still reply; each completion posts its response
+  // before leaving the gate, and the loop's final task drain (inside
+  // SocketServer::stop) writes them.
+  in_flight_.close();
+  in_flight_.wait_idle();
   SocketServer::stop();
 }
 
@@ -166,8 +163,7 @@ void JsonRpcServer::export_metrics() {
   active_connections_.set(static_cast<double>(connections()));
   accepted_gauge_.set(static_cast<double>(connections_accepted()));
   rejected_gauge_.set(static_cast<double>(connections_rejected()));
-  std::lock_guard<std::mutex> lock(flight_mutex_);
-  in_flight_gauge_.set(static_cast<double>(in_flight_));
+  in_flight_gauge_.set(static_cast<double>(in_flight_.size()));
 }
 
 void JsonRpcServer::on_open(Connection& conn) {
@@ -269,16 +265,7 @@ void JsonRpcServer::process_input(Connection& conn) {
   state->first_byte_us = 0;
   requests_total_.inc();
 
-  bool refused = false;
-  {
-    std::lock_guard<std::mutex> lock(flight_mutex_);
-    if (stopping_) {
-      refused = true;
-    } else {
-      ++in_flight_;
-    }
-  }
-  if (refused) {
+  if (!in_flight_.enter()) {  // stop() began
     shed_.inc();
     obs::finish_request(frame->ctx, tracer);
     respond_http(conn, 503, "Service Unavailable",
@@ -403,9 +390,8 @@ void JsonRpcServer::complete(Frame& frame) {
                  keep_alive);
   });
   // Last touch of the server from a completing thread: stop() may return
-  // as soon as the count reaches zero.
-  std::lock_guard<std::mutex> lock(flight_mutex_);
-  if (--in_flight_ == 0) flight_cv_.notify_all();
+  // as soon as the gate is idle.
+  in_flight_.leave();
 }
 
 void JsonRpcServer::call_method(const std::shared_ptr<Frame>& frame,

@@ -28,15 +28,14 @@
 // at max_batch entries.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
 
+#include "common/bounded_queue.hpp"
 #include "net/json.hpp"
 #include "net/socket_server.hpp"
 #include "obs/metrics.hpp"
@@ -168,10 +167,8 @@ class JsonRpcServer : public SocketServer {
   RpcConfig config_;
   std::unordered_map<std::string, Handler> methods_;
 
-  std::mutex flight_mutex_;
-  std::condition_variable flight_cv_;
-  std::size_t in_flight_ = 0;  ///< frames dispatched, response not posted
-  bool stopping_ = false;
+  /// Frames dispatched whose response is not yet posted; stop() closes it.
+  common::InFlight in_flight_;
 
   obs::MetricsRegistry registry_;
   obs::Counter requests_total_ = registry_.counter("net_requests_total");

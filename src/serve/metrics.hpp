@@ -29,11 +29,11 @@ struct ServiceMetrics {
   obs::Counter requests_degraded =
       registry.counter("serve_requests_degraded");  ///< heavy-stage fallbacks
   obs::Counter requests_shed =
-      registry.counter("serve_requests_shed");  ///< queue-full + deadline
+      registry.counter("serve_requests_shed");  ///< admission queue full
   obs::Counter retries =
       registry.counter("serve_retries");  ///< transient extract retries
-  obs::Gauge queue_depth =
-      registry.gauge("serve_queue_depth");  ///< admitted, not yet batched
+  /// Admitted, not yet batched; sampled by export_pull_metrics().
+  obs::Gauge queue_depth = registry.gauge("serve_queue_depth");
   obs::Counter empty_code_requests =
       registry.counter("serve_empty_code_requests");  ///< EOAs / selfdestructs
   obs::Counter batches = registry.counter("serve_batches_total");
@@ -66,7 +66,7 @@ struct ServiceMetrics {
     registry.set_help("serve_requests_submitted",
                       "Scoring requests accepted by try_submit()");
     registry.set_help("serve_requests_shed",
-                      "Requests dropped by admission control or deadline");
+                      "Requests refused by admission control (queue full)");
     registry.set_help("serve_requests_degraded",
                       "Requests answered with a stage-0 fallback after a "
                       "heavy cascade stage failed");

@@ -187,7 +187,8 @@ JsonValue RpcFrontend::health() const {
   engine.set("requests_degraded",
              JsonValue::number(
                  static_cast<double>(m.requests_degraded.value())));
-  engine.set("queue_depth", JsonValue::number(m.queue_depth.value()));
+  engine.set("queue_depth", JsonValue::number(
+                                static_cast<double>(engine_.queue_depth())));
 
   JsonValue cache_obj;
   cache_obj.set("hits",

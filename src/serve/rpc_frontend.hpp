@@ -22,8 +22,8 @@
 // id spans net.parse -> engine queue -> extract -> predict -> net.handle;
 // the server owns that lane and closes it once.
 //
-// Shed semantics: engine-level sheds (queue-full, engine deadline) surface
-// in the result object's status field as "shed", because the request
+// Shed semantics: engine-level sheds (a full admission queue) surface in
+// the result object's status field as "shed", because the request
 // *was* answered — with a definite refusal, which a wallet treats
 // differently from a transport error. An engine that has begun shutting
 // down answers the whole call with -32005.

@@ -93,21 +93,12 @@ class ShardedScoreCache {
   };
   using LruList = std::list<Entry>;
 
-  /// Map hash: the key is already a Keccak digest, so the leading 8 bytes
-  /// are uniform — no re-mixing needed. (Shard selection uses *different*
-  /// bytes; see shard_index.)
-  struct KeyHash {
-    std::size_t operator()(const evm::Hash256& h) const {
-      std::uint64_t v = 0;
-      for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(h[i]) << (8 * i);
-      return static_cast<std::size_t>(v);
-    }
-  };
-
   struct Shard {
     mutable std::mutex mutex;
     LruList lru;  // front = most recent
-    std::unordered_map<evm::Hash256, LruList::iterator, KeyHash> index;
+    /// Hashes digest bytes 0..7; shard_index() uses bytes 8..15.
+    std::unordered_map<evm::Hash256, LruList::iterator, evm::DigestHash>
+        index;
     std::size_t capacity = 0;  ///< this shard's slice of the entry budget
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;

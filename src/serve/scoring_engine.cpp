@@ -1,6 +1,5 @@
 #include "serve/scoring_engine.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <exception>
 #include <functional>
@@ -13,20 +12,6 @@
 #include "obs/trace.hpp"
 
 namespace phishinghook::serve {
-
-namespace {
-/// Map hash for within-batch dedup; leading digest bytes are uniform.
-struct DigestHash {
-  std::size_t operator()(const evm::Hash256& h) const {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(h[i]) << (8 * i);
-    }
-    return static_cast<std::size_t>(v);
-  }
-};
-
-}  // namespace
 
 const char* to_string(ScoreStatus status) {
   switch (status) {
@@ -45,7 +30,8 @@ ScoringEngine::ScoringEngine(const chain::Explorer& explorer,
     : explorer_(&explorer),
       detector_(&detector),
       config_(config),
-      cache_(config.cache_capacity, config.cache_shards) {
+      cache_(config.cache_capacity),
+      queue_(config.max_queue == 0 ? common::kUnbounded : config.max_queue) {
   // workers == 0 = auto: the same PHISHINGHOOK_THREADS knob that sizes the
   // training thread pool sizes the serving pool.
   if (config_.workers == 0) {
@@ -120,23 +106,13 @@ bool ScoringEngine::try_submit(const evm::Address& address,
   request.address = address;
   request.ctx = ctx;
   request.done = std::move(done);
-  bool admitted = false;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (stopping_) {
-      if (request.owns_lane) obs::finish_request(request.ctx, tracer);
-      return false;
-    }
-    if (config_.max_queue == 0 || queue_.size() < config_.max_queue) {
-      queue_.push_back(std::move(request));
-      metrics_.queue_depth.set(static_cast<double>(queue_.size()));
-      admitted = true;
-    }
+  const common::PushResult pushed = queue_.try_push(request);
+  if (pushed == common::PushResult::kClosed) {
+    if (request.owns_lane) obs::finish_request(request.ctx, tracer);
+    return false;
   }
   metrics_.requests_submitted.inc();
-  if (admitted) {
-    queue_cv_.notify_one();
-  } else {
+  if (pushed == common::PushResult::kFull) {
     // Reject-on-full: answer right here instead of letting the queue grow
     // without bound — the caller learns immediately and can back off.
     ScoreResult shed;
@@ -151,77 +127,38 @@ bool ScoringEngine::try_submit(const evm::Address& address,
 std::vector<ScoreResult> ScoringEngine::score_all(
     const std::vector<evm::Address>& addresses) {
   std::vector<ScoreResult> results(addresses.size());
-  std::mutex mutex;
-  std::condition_variable landed;
-  std::size_t pending = addresses.size();
-  // Notify under the lock: once pending hits 0 the waiter may return and
-  // destroy these locals, so no completion may touch them after unlocking.
-  const auto settle = [&] {
-    std::lock_guard<std::mutex> lock(mutex);
-    if (--pending == 0) landed.notify_one();
-  };
+  common::InFlight pending;
   for (std::size_t i = 0; i < addresses.size(); ++i) {
+    pending.enter();
     const bool accepted = try_submit(
         addresses[i], obs::RequestContext{}, [&, i](ScoreResult result) {
           results[i] = std::move(result);
-          settle();
+          pending.leave();
         });
     if (!accepted) {
       results[i].address = addresses[i];
       results[i].status = ScoreStatus::kShed;
       results[i].error = "engine shut down";
-      settle();
+      pending.leave();
     }
   }
-  std::unique_lock<std::mutex> lock(mutex);
-  landed.wait(lock, [&] { return pending == 0; });
+  pending.wait_idle();
   return results;
 }
 
 void ScoringEngine::shutdown() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stopping_ = true;
-  }
-  queue_cv_.notify_all();
+  queue_.close();
   for (std::thread& worker : workers_) {
     if (worker.joinable()) worker.join();
   }
 }
 
 void ScoringEngine::worker_loop() {
+  const std::chrono::microseconds wait(config_.max_wait_us);
   for (;;) {
-    std::vector<Request> batch = next_batch();
-    if (batch.empty()) return;  // stopping and drained
+    std::vector<Request> batch = queue_.pop_batch(config_.max_batch, wait);
+    if (batch.empty()) return;  // closed and drained
     process_batch(std::move(batch));
-  }
-}
-
-std::vector<ScoringEngine::Request> ScoringEngine::next_batch() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  for (;;) {
-    queue_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-    if (queue_.empty()) return {};  // only reachable when stopping_
-    // Micro-batch: hold an under-full batch open briefly so closely spaced
-    // arrivals share one model invocation. Another worker may drain the
-    // queue while we wait, so re-check and go back to sleep if so.
-    if (queue_.size() < config_.max_batch && !stopping_) {
-      queue_cv_.wait_for(lock, std::chrono::microseconds(config_.max_wait_us),
-                         [this] {
-                           return stopping_ ||
-                                  queue_.size() >= config_.max_batch;
-                         });
-      if (queue_.empty()) continue;
-    }
-    const std::size_t take = std::min(queue_.size(), config_.max_batch);
-    std::vector<Request> batch;
-    batch.reserve(take);
-    for (std::size_t i = 0; i < take; ++i) {
-      batch.push_back(std::move(queue_.front()));
-      queue_.pop_front();
-    }
-    metrics_.queue_depth.set(static_cast<double>(queue_.size()));
-    return batch;
   }
 }
 
@@ -237,8 +174,7 @@ void ScoringEngine::process_batch(std::vector<Request> batch) {
   obs::Tracer& tracer = obs::Tracer::global();
 
   // Every popped request just finished its queue-wait stage — attribute it
-  // before anything else (deadline-shed requests waited too, and their
-  // wait is exactly why they are being shed).
+  // before anything else.
   const double popped_us = tracer.now_us();
   for (Request& request : batch) {
     request.queue_wait_us = request.ctx.wait_us(popped_us);
@@ -248,27 +184,8 @@ void ScoringEngine::process_batch(std::vector<Request> batch) {
     if (request.ctx.valid()) tracer.flow_step(request.ctx.trace_id);
   }
 
-  // Deadline shedding first: a request that already blew its budget gets no
-  // extract or model work, and does not count toward batch occupancy.
-  std::vector<Request> live;
-  live.reserve(batch.size());
-  for (Request& request : batch) {
-    if (config_.deadline_us != 0 &&
-        request.queued.seconds() * 1e6 > static_cast<double>(
-                                             config_.deadline_us)) {
-      ScoreResult shed;
-      shed.status = ScoreStatus::kShed;
-      shed.error = "deadline exceeded (deadline_us=" +
-                   std::to_string(config_.deadline_us) + ")";
-      deliver(request, std::move(shed));
-    } else {
-      live.push_back(std::move(request));
-    }
-  }
-  if (live.empty()) return;
-
   metrics_.batches.inc();
-  metrics_.batched_requests.inc(live.size());
+  metrics_.batched_requests.inc(batch.size());
   common::ScopedTimer batch_timer(
       [this](double s) { metrics_.batch_latency.record(s * 1e6); });
 
@@ -280,24 +197,24 @@ void ScoringEngine::process_batch(std::vector<Request> batch) {
     std::string error;
     bool cache_hit = false;
   };
-  std::vector<Slot> slots(live.size());
+  std::vector<Slot> slots(batch.size());
 
   // Pull bytecode (decoded, its code hash attached), probe the cache, and
   // collapse duplicate code hashes so each unique miss costs exactly one
   // model row. Extraction is per-slot fault-isolated: one hostile address
   // fails its own slot, never the batch, never the worker.
-  std::unordered_map<evm::Hash256, std::size_t, DigestHash> miss_index;
+  std::unordered_map<evm::Hash256, std::size_t, evm::DigestHash> miss_index;
   std::vector<const evm::Bytecode*> miss_codes;
   std::vector<std::vector<std::size_t>> miss_slots;
   obs::ScopedSpan extract_span("serve.extract");
-  for (std::size_t i = 0; i < live.size(); ++i) {
+  for (std::size_t i = 0; i < batch.size(); ++i) {
     Slot& slot = slots[i];
     // Per-slot service timing: fetch + cache probe is the extract stage
     // this request experienced, whatever its outcome.
     const double slot_start_us = tracer.now_us();
     [&] {
       try {
-        slot.code = extract_code(live[i].address);
+        slot.code = extract_code(batch[i].address);
       } catch (const std::exception& e) {
         slot.status = ScoreStatus::kExtractError;
         slot.error = e.what();
@@ -330,7 +247,7 @@ void ScoringEngine::process_batch(std::vector<Request> batch) {
     }();
     const double slot_end_us = tracer.now_us();
     metrics_.stage_extract.record(slot_end_us - slot_start_us);
-    obs::stage_slice(live[i].ctx, "req.extract", slot_start_us, slot_end_us,
+    obs::stage_slice(batch[i].ctx, "req.extract", slot_start_us, slot_end_us,
                      tracer);
   }
   extract_span.end();
@@ -356,7 +273,7 @@ void ScoringEngine::process_batch(std::vector<Request> batch) {
     for (const std::vector<std::size_t>& group : miss_slots) {
       for (std::size_t slot_id : group) {
         metrics_.stage_predict.record(predict_end_us - predict_start_us);
-        obs::stage_slice(live[slot_id].ctx, "req.predict", predict_start_us,
+        obs::stage_slice(batch[slot_id].ctx, "req.predict", predict_start_us,
                          predict_end_us, tracer);
       }
     }
@@ -391,7 +308,7 @@ void ScoringEngine::process_batch(std::vector<Request> batch) {
     }
   }
 
-  for (std::size_t i = 0; i < live.size(); ++i) {
+  for (std::size_t i = 0; i < batch.size(); ++i) {
     ScoreResult result;
     result.status = slots[i].status;
     result.cache_hit = slots[i].cache_hit;
@@ -403,7 +320,7 @@ void ScoringEngine::process_batch(std::vector<Request> batch) {
       result.stage = slots[i].stage;
       result.model = detector_->stage_model(slots[i].stage);
     }
-    deliver(live[i], std::move(result));
+    deliver(batch[i], std::move(result));
   }
 }
 

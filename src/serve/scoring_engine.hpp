@@ -6,7 +6,7 @@
 // queues them, and has a worker pool drain the queue in micro-batches:
 //
 //   try_submit(addr, done)
-//     -> [bounded queue] -> worker: shed expired deadlines
+//     -> [common::BoundedQueue] -> worker: pop_batch (micro-batch)
 //                             -> Explorer::get_code (retried): decoded
 //                                code, account-carried code hash
 //                             -> score cache?
@@ -29,12 +29,10 @@
 // actually needed the model — cache hits and empty-code slots in the same
 // batch still deliver their valid results — and a failing *heavy* cascade
 // stage downgrades its rows to the stage-0 score (kDegraded, not cached)
-// instead of failing them. Overload is handled by
-// admission control (`max_queue`, reject-on-full) and per-request
-// deadlines (`deadline_us`, expired requests shed before batching), both
-// reported through the kShed status rather than silent drops:
-// requests_completed + requests_failed + requests_shed always equals
-// requests_submitted once the queue drains.
+// instead of failing them. Overload is handled by admission control
+// (`max_queue`, reject-on-full), reported through the kShed status rather
+// than a silent drop: requests_completed + requests_failed + requests_shed
+// always equals requests_submitted once the queue drains.
 //
 // Thread-safety contract: the detector passed in must have a read-only,
 // concurrently callable score_batch (true for every fitted adapter —
@@ -42,17 +40,15 @@
 // inference time — and for CascadeScorer over such stages).
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <mutex>
 #include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "chain/explorer.hpp"
+#include "common/bounded_queue.hpp"
 #include "common/retry.hpp"
 #include "common/timer.hpp"
 #include "ml/scorer.hpp"
@@ -70,15 +66,10 @@ struct EngineConfig {
   /// How long the worker holds an under-full batch open for more arrivals.
   std::uint64_t max_wait_us = 200;
   std::size_t cache_capacity = 1 << 16;
-  std::size_t cache_shards = 16;
   /// Admission control: maximum queued (not yet batched) requests.
   /// 0 = unbounded. A submit against a full queue resolves immediately
   /// with ScoreStatus::kShed instead of queueing.
   std::size_t max_queue = 0;
-  /// Per-request deadline measured from try_submit(); 0 = none. Requests still
-  /// queued past their deadline are shed (kShed) before any extract or
-  /// model work is spent on them.
-  std::uint64_t deadline_us = 0;
   /// Retry schedule for *transient* extract faults
   /// (common::TransientError); permanent faults fail the slot immediately.
   common::RetryPolicy extract_retry;
@@ -92,7 +83,7 @@ enum class ScoreStatus {
   kDegraded,      ///< heavy cascade stage failed; stage-0 score delivered
   kExtractError,  ///< code fetch failed after retries
   kModelError,    ///< score_batch threw for this slot's batch
-  kShed,          ///< dropped by admission control or deadline
+  kShed,          ///< refused by admission control (queue full)
 };
 
 /// Stable lowercase label for expositions and CLI summaries.
@@ -160,6 +151,8 @@ class ScoringEngine {
   void shutdown();
 
   const ServiceMetrics& metrics() const { return metrics_; }
+  /// Requests admitted and not yet popped into a batch.
+  std::size_t queue_depth() const { return queue_.size(); }
   CacheStats cache_stats() const { return cache_.stats(); }
 
   /// The scorer this engine serves (e.g. for the RPC health handler to
@@ -172,6 +165,7 @@ class ScoringEngine {
   /// as a net::ScrapeServer pre-scrape hook so /metrics always shows
   /// fresh serve_cache_* / serve_cascade_* values.
   void export_pull_metrics() {
+    metrics_.queue_depth.set(static_cast<double>(queue_depth()));
     cache_.export_metrics(metrics_.registry);
     detector_->export_metrics(metrics_.registry);
   }
@@ -199,9 +193,6 @@ class ScoringEngine {
   };
 
   void worker_loop();
-  /// Pops up to max_batch requests, honoring the micro-batch wait.
-  /// Returns an empty batch only when stopping.
-  std::vector<Request> next_batch();
   void process_batch(std::vector<Request> batch);
 
   /// Explorer::get_code with the configured transient-fault retry
@@ -221,11 +212,8 @@ class ScoringEngine {
   ShardedScoreCache cache_;
   ServiceMetrics metrics_;
 
-  std::mutex mutex_;
-  std::condition_variable queue_cv_;
-  std::deque<Request> queue_;
-  bool stopping_ = false;
-
+  /// Closed by shutdown(); workers drain it, then exit.
+  common::BoundedQueue<Request> queue_;
   std::vector<std::thread> workers_;
 };
 

@@ -77,21 +77,11 @@ class BlockFollower {
   const FollowerStats& stats() const { return stats_; }
 
  private:
-  struct DigestHash {
-    std::size_t operator()(const evm::Hash256& h) const {
-      std::uint64_t v = 0;
-      for (int i = 0; i < 8; ++i) {
-        v |= static_cast<std::uint64_t>(h[i]) << (8 * i);
-      }
-      return static_cast<std::size_t>(v);
-    }
-  };
-
   const chain::Explorer* explorer_;
   FollowerConfig config_;
   std::uint64_t cursor_ = 0;
   FollowerStats stats_;
-  std::unordered_set<evm::Hash256, DigestHash> seen_;
+  std::unordered_set<evm::Hash256, evm::DigestHash> seen_;
 };
 
 }  // namespace phishinghook::stream

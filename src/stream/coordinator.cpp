@@ -39,9 +39,8 @@ void StreamCoordinator::start() {
 }
 
 bool StreamCoordinator::finished() const {
-  if (!generator_done_.load(std::memory_order_acquire)) return false;
-  std::lock_guard<std::mutex> lock(flight_mutex_);
-  return in_flight_ == 0;
+  return generator_done_.load(std::memory_order_acquire) &&
+         in_flight_.size() == 0;
 }
 
 void StreamCoordinator::drain() {
@@ -56,11 +55,8 @@ void StreamCoordinator::drain() {
   if (miner_thread_.joinable()) miner_thread_.join();
   if (follower_thread_.joinable()) follower_thread_.join();
   if (generator_thread_.joinable()) generator_thread_.join();
-  {
-    // Completions touch this object: none may outlive drain().
-    std::unique_lock<std::mutex> lock(flight_mutex_);
-    flight_cv_.wait(lock, [this] { return in_flight_ == 0; });
-  }
+  // Completions touch this object: none may outlive drain().
+  in_flight_.wait_idle();
   elapsed_s_ = std::chrono::duration<double>(
                    std::chrono::steady_clock::now() - epoch_)
                    .count();
@@ -139,24 +135,21 @@ void StreamCoordinator::note_addr_queue_wait(StampedAddress& stamped) {
 
 bool StreamCoordinator::submit_one(const evm::Address& address, bool fresh,
                                    obs::RequestContext ctx) {
-  {
-    // A full in-flight window is engine backpressure and simply stalls
-    // the arrival schedule (open-loop ⇒ later arrivals bunch).
-    std::unique_lock<std::mutex> lock(flight_mutex_);
-    flight_cv_.wait(lock, [this] { return in_flight_ < kMaxInFlight; });
-    ++in_flight_;
-  }
+  // A full in-flight window is engine backpressure and simply stalls the
+  // arrival schedule (open-loop ⇒ later arrivals bunch). The gate is never
+  // closed, so enter() always admits.
+  in_flight_.enter();
   // The ingest lane (invalid for requeries) is ours to close; the engine
   // closes only lanes it mints itself.
   const bool accepted = engine_->try_submit(
       address, ctx, [this, lane = ctx](serve::ScoreResult result) mutable {
         tally(result);
         obs::finish_request(lane);
-        release_slot();
+        in_flight_.leave();
       });
   if (!accepted) {  // engine shut down underneath us
     obs::finish_request(ctx);
-    release_slot();
+    in_flight_.leave();
     return false;
   }
   submitted_ += 1;
@@ -168,15 +161,6 @@ bool StreamCoordinator::submit_one(const evm::Address& address, bool fresh,
   }
   if (generator_.last_in_burst()) metrics_.burst.inc();
   return true;
-}
-
-void StreamCoordinator::release_slot() {
-  // Notify under the lock: drain() may return, and destroy us, the moment
-  // the count reaches zero. Waiters want a free slot or zero.
-  std::lock_guard<std::mutex> lock(flight_mutex_);
-  if (in_flight_-- == kMaxInFlight || in_flight_ == 0) {
-    flight_cv_.notify_all();
-  }
 }
 
 void StreamCoordinator::generator_loop() {
@@ -306,11 +290,7 @@ std::string StreamCoordinator::health_json() const {
   const bool started = started_.load(std::memory_order_acquire);
   const bool drained = drained_.load(std::memory_order_acquire);
   const bool draining = drain_requested_.load(std::memory_order_acquire);
-  std::size_t in_flight = 0;
-  {
-    std::lock_guard<std::mutex> lock(flight_mutex_);
-    in_flight = in_flight_;
-  }
+  const std::size_t in_flight = in_flight_.size();
   const char* status = !started ? "idle"
                        : drained ? "drained"
                        : draining ? "draining"

@@ -29,18 +29,17 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <thread>
 #include <vector>
 
+#include "common/bounded_queue.hpp"
 #include "obs/metrics.hpp"
 #include "obs/request_context.hpp"
 #include "obs/window.hpp"
 #include "serve/scoring_engine.hpp"
 #include "stream/block_follower.hpp"
-#include "stream/bounded_queue.hpp"
 #include "stream/live_chain.hpp"
 #include "stream/load_generator.hpp"
 
@@ -201,7 +200,6 @@ class StreamCoordinator {
   bool submit_one(const evm::Address& address, bool fresh,
                   obs::RequestContext ctx = {});
   void tally(const serve::ScoreResult& result);
-  void release_slot();
   /// Records how long a popped fresh address sat in the address queue
   /// (histogram + "req.addr_queue" stage slice + flow step).
   void note_addr_queue_wait(StampedAddress& stamped);
@@ -213,11 +211,9 @@ class StreamCoordinator {
   LoadGenerator generator_;
   StreamMetrics metrics_;
 
-  BoundedQueue<StampedAddress> addresses_;
-
-  mutable std::mutex flight_mutex_;
-  std::condition_variable flight_cv_;
-  std::size_t in_flight_ = 0;  ///< submitted, completion not yet run
+  common::BoundedQueue<StampedAddress> addresses_;
+  /// Submitted, completion not yet run.
+  common::InFlight in_flight_{kMaxInFlight};
 
   obs::SlidingWindowAggregator window_;
   obs::SloEvaluator slo_;      ///< evaluates window_; guarded by slo_mutex_

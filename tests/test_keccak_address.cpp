@@ -41,6 +41,16 @@ TEST(Keccak, MultiBlockInput) {
   EXPECT_EQ(streaming.finalize(), oneshot);
 }
 
+TEST(Keccak, DigestHashIsTheLeadingEightBytesLittleEndian) {
+  // Score-cache buckets and dedup-set iteration order follow these values.
+  Hash256 digest{};
+  for (std::size_t i = 0; i < digest.size(); ++i) {
+    digest[i] = static_cast<std::uint8_t>(i);
+  }
+  EXPECT_EQ(DigestHash{}(digest), std::size_t{0x0706050403020100ULL});
+  EXPECT_EQ(DigestHash{}(kEmptyKeccak), std::size_t{0x3c23f7860146d2c5ULL});
+}
+
 TEST(Keccak, FinalizeTwiceThrows) {
   Keccak256 hasher;
   (void)hasher.finalize();

@@ -1,5 +1,6 @@
 // Streaming ingestion suite: incremental mining, the block follower's
-// dedup accounting, the open-loop arrival model, bounded queues, the
+// dedup accounting, the open-loop arrival model, the shared hand-off
+// primitives (common::BoundedQueue, common::InFlight), the
 // fault-schedule-under-streaming-order guarantee, and the coordinator's
 // end-to-end lifecycle — including the conservation law
 // submitted == completed + failed + shed after every drain.
@@ -12,6 +13,7 @@
 #include <atomic>
 #include <chrono>
 #include <map>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -20,11 +22,11 @@
 #include <vector>
 
 #include "chain/fault_injection.hpp"
+#include "common/bounded_queue.hpp"
 #include "core/model_registry.hpp"
 #include "ml/random_forest.hpp"
 #include "obs/trace.hpp"
 #include "serve/scoring_engine.hpp"
-#include "stream/bounded_queue.hpp"
 #include "stream/coordinator.hpp"
 #include "synth/dataset_builder.hpp"
 #include "request_lanes.hpp"
@@ -188,17 +190,18 @@ TEST(ChainMinerTest, SameSeedProducesIdenticalChainsAndLabels) {
             stats_a.phishing_deployments + stats_a.benign_deployments);
 }
 
-// ---------------------------------------------------------------- queue
+// ------------------------------------------------ hand-off primitives
 
 TEST(BoundedQueueTest, FifoCloseAndCounters) {
-  EXPECT_THROW(stream::BoundedQueue<int>(0), InvalidArgument);
-  stream::BoundedQueue<int> queue(2);
+  EXPECT_THROW(common::BoundedQueue<int>(0), InvalidArgument);
+  common::BoundedQueue<int> queue(2);
   EXPECT_TRUE(queue.push(1));
   EXPECT_TRUE(queue.push(2));
-  EXPECT_FALSE(queue.try_push(3));  // full
+  int three = 3;
+  EXPECT_EQ(queue.try_push(three), common::PushResult::kFull);
   EXPECT_EQ(queue.size(), 2u);
   EXPECT_EQ(queue.pop(), 1);
-  EXPECT_TRUE(queue.try_push(3));
+  EXPECT_EQ(queue.try_push(three), common::PushResult::kOk);
   queue.close();
   EXPECT_FALSE(queue.push(4));      // closed: producer fails fast
   EXPECT_EQ(queue.pop(), 2);        // but queued items still drain...
@@ -209,7 +212,7 @@ TEST(BoundedQueueTest, FifoCloseAndCounters) {
 }
 
 TEST(BoundedQueueTest, ConcurrentProducersAndConsumersConserveItems) {
-  stream::BoundedQueue<int> queue(8);
+  common::BoundedQueue<int> queue(8);
   constexpr int kPerProducer = 400;
   std::atomic<int> consumed{0};
   std::vector<std::thread> threads;
@@ -232,7 +235,7 @@ TEST(BoundedQueueTest, ConcurrentProducersAndConsumersConserveItems) {
 }
 
 TEST(BoundedQueueTest, PushBlockedOnFullQueueUnblocksAtClose) {
-  stream::BoundedQueue<int> queue(1);
+  common::BoundedQueue<int> queue(1);
   ASSERT_TRUE(queue.push(1));
   std::atomic<bool> push_returned{false};
   std::atomic<bool> push_result{true};
@@ -254,13 +257,14 @@ TEST(BoundedQueueTest, PushBlockedOnFullQueueUnblocksAtClose) {
 }
 
 TEST(BoundedQueueTest, TryPushRacingCloseNeverLosesOrInventsItems) {
-  stream::BoundedQueue<int> queue(16);
+  common::BoundedQueue<int> queue(16);
   std::atomic<int> admitted{0};
   std::thread producer([&] {
     for (int i = 0; i < 100000; ++i) {
-      if (queue.try_push(i)) {
+      const common::PushResult pushed = queue.try_push(i);
+      if (pushed == common::PushResult::kOk) {
         admitted.fetch_add(1);
-      } else if (queue.closed()) {
+      } else if (pushed == common::PushResult::kClosed) {
         break;
       }
       // Full-but-open: drop and keep going (open-loop producer shape).
@@ -280,11 +284,12 @@ TEST(BoundedQueueTest, TryPushRacingCloseNeverLosesOrInventsItems) {
   while (queue.pop().has_value()) ++drained;
   EXPECT_EQ(drained, static_cast<std::uint64_t>(admitted.load()));
   EXPECT_EQ(queue.total_pushed(), static_cast<std::uint64_t>(admitted.load()));
-  EXPECT_FALSE(queue.try_push(-1));  // closed stays closed
+  int late = -1;
+  EXPECT_EQ(queue.try_push(late), common::PushResult::kClosed);  // stays closed
 }
 
 TEST(BoundedQueueTest, PopAfterCloseDrainsInOrderThenSignalsEndOfStream) {
-  stream::BoundedQueue<int> queue(8);
+  common::BoundedQueue<int> queue(8);
   for (int i = 1; i <= 5; ++i) ASSERT_TRUE(queue.push(i));
   queue.close();
   for (int i = 1; i <= 5; ++i) EXPECT_EQ(queue.pop(), i);  // FIFO survives close
@@ -292,6 +297,187 @@ TEST(BoundedQueueTest, PopAfterCloseDrainsInOrderThenSignalsEndOfStream) {
   EXPECT_EQ(queue.try_pop(), std::nullopt);
   // pop() after end-of-stream stays nullopt (no re-arm, no hang).
   EXPECT_EQ(queue.pop(), std::nullopt);
+}
+
+TEST(BoundedQueueTest, TryPushHandsTheItemBackAndTellsFullFromClosed) {
+  common::BoundedQueue<std::unique_ptr<int>> queue(1);
+  auto first = std::make_unique<int>(1);
+  EXPECT_EQ(queue.try_push(first), common::PushResult::kOk);
+  EXPECT_EQ(first, nullptr);  // moved in
+  auto second = std::make_unique<int>(2);
+  EXPECT_EQ(queue.try_push(second), common::PushResult::kFull);
+  ASSERT_NE(second, nullptr);  // still the caller's to answer
+  EXPECT_EQ(*second, 2);
+  queue.close();
+  EXPECT_EQ(queue.try_push(second), common::PushResult::kClosed);
+  ASSERT_NE(second, nullptr);
+  EXPECT_EQ(*second, 2);
+  EXPECT_EQ(queue.total_pushed(), 1u);
+
+  common::BoundedQueue<int> unbounded(common::kUnbounded);
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_EQ(unbounded.try_push(i), common::PushResult::kOk);
+  }
+  EXPECT_EQ(unbounded.size(), 1000u);
+}
+
+TEST(BoundedQueueTest, PopBatchReturnsAtOnceWhenMaxIsQueued) {
+  common::BoundedQueue<int> queue(common::kUnbounded);
+  for (int i = 1; i <= 5; ++i) ASSERT_TRUE(queue.push(i));
+  const auto start = std::chrono::steady_clock::now();
+  // A 10 s hold would show: a full batch must not wait for company.
+  EXPECT_EQ(queue.pop_batch(3, std::chrono::seconds(10)),
+            (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(queue.pop_batch(2, std::chrono::seconds(10)),
+            (std::vector<int>{4, 5}));
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+  EXPECT_EQ(queue.total_popped(), 5u);
+}
+
+TEST(BoundedQueueTest, PopBatchReturnsAnUnderFullBatchAfterTheWait) {
+  common::BoundedQueue<int> queue(common::kUnbounded);
+  ASSERT_TRUE(queue.push(1));
+  ASSERT_TRUE(queue.push(2));
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(queue.pop_batch(8, std::chrono::milliseconds(20)),
+            (std::vector<int>{1, 2}));
+  EXPECT_GE(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(15));
+  EXPECT_EQ(queue.size(), 0u);
+}
+
+TEST(BoundedQueueTest, CloseWakesAWaitingPopBatchWhichDrainsBeforeEmpty) {
+  common::BoundedQueue<int> queue(common::kUnbounded);
+  ASSERT_TRUE(queue.push(1));
+  ASSERT_TRUE(queue.push(2));
+  std::atomic<bool> returned{false};
+  std::vector<int> held;
+  // Under-full with a 10 s hold: only the close can end the wait early.
+  std::thread consumer([&] {
+    held = queue.pop_batch(8, std::chrono::seconds(10));
+    returned.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  EXPECT_FALSE(returned.load());
+  const auto closed_at = std::chrono::steady_clock::now();
+  queue.close();
+  consumer.join();
+  EXPECT_LT(std::chrono::steady_clock::now() - closed_at,
+            std::chrono::seconds(5));
+  EXPECT_EQ(held, (std::vector<int>{1, 2}));  // queued items come first...
+  EXPECT_TRUE(queue.pop_batch(8, std::chrono::seconds(10)).empty());  // ...then end
+
+  // A consumer parked on an empty queue wakes at close with nothing.
+  common::BoundedQueue<int> empty(4);
+  std::thread parked([&] {
+    EXPECT_TRUE(empty.pop_batch(4, std::chrono::seconds(10)).empty());
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  empty.close();
+  parked.join();
+}
+
+TEST(BoundedQueueTest, ConcurrentPopBatchConsumersConserveItems) {
+  common::BoundedQueue<int> queue(16);
+  constexpr int kPerProducer = 2000;
+  constexpr std::size_t kMax = 5;
+  std::atomic<int> consumed{0};
+  std::atomic<bool> bad_batch{false};
+  std::vector<std::thread> producers;
+  for (int p = 0; p < 2; ++p) {
+    producers.emplace_back([&queue] {
+      for (int i = 0; i < kPerProducer; ++i) ASSERT_TRUE(queue.push(i));
+    });
+  }
+  std::vector<std::thread> consumers;
+  for (int c = 0; c < 3; ++c) {
+    consumers.emplace_back([&] {
+      for (;;) {
+        const std::vector<int> batch =
+            queue.pop_batch(kMax, std::chrono::microseconds(100));
+        if (batch.empty()) return;  // closed and drained
+        if (batch.size() > kMax) bad_batch.store(true);
+        consumed.fetch_add(static_cast<int>(batch.size()));
+      }
+    });
+  }
+  for (std::thread& t : producers) t.join();
+  queue.close();
+  for (std::thread& t : consumers) t.join();
+  EXPECT_FALSE(bad_batch.load());
+  EXPECT_EQ(consumed.load(), 2 * kPerProducer);
+  EXPECT_EQ(queue.total_popped(), queue.total_pushed());
+}
+
+TEST(InFlightTest, EnterBlocksAtTheCapAndResumesOnLeave) {
+  EXPECT_THROW(common::InFlight(0), InvalidArgument);
+  common::InFlight gate(2);
+  ASSERT_TRUE(gate.enter());
+  ASSERT_TRUE(gate.enter());
+  std::atomic<bool> entered{false};
+  std::thread third([&] { entered.store(gate.enter()); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  EXPECT_FALSE(entered.load());  // parked on the cap
+  EXPECT_EQ(gate.size(), 2u);
+  gate.leave();
+  third.join();
+  EXPECT_TRUE(entered.load());
+  EXPECT_EQ(gate.size(), 2u);
+}
+
+TEST(InFlightTest, ClosedGateRefusesEnter) {
+  common::InFlight gate(1);
+  ASSERT_TRUE(gate.enter());
+  std::atomic<bool> returned{false};
+  std::atomic<bool> entered{true};
+  std::thread blocked([&] {
+    entered.store(gate.enter());  // at the cap until the close
+    returned.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  EXPECT_FALSE(returned.load());
+  gate.close();
+  blocked.join();
+  EXPECT_FALSE(entered.load());
+  EXPECT_FALSE(gate.enter());
+  EXPECT_EQ(gate.size(), 1u);  // the admitted unit still finishes
+  gate.leave();
+  gate.wait_idle();
+  EXPECT_EQ(gate.size(), 0u);
+}
+
+TEST(InFlightTest, WaitIdleReturnsAtZero) {
+  common::InFlight gate;
+  gate.wait_idle();  // idle already: returns at once
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(gate.enter());
+  std::atomic<bool> idle{false};
+  std::thread waiter([&] {
+    gate.wait_idle();
+    idle.store(true);
+  });
+  gate.leave();
+  gate.leave();
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  EXPECT_FALSE(idle.load());  // one unit still out
+  gate.leave();
+  waiter.join();
+  EXPECT_TRUE(idle.load());
+  EXPECT_EQ(gate.size(), 0u);
+}
+
+TEST(InFlightTest, LeaveRacingAWaiterThatDestroysTheGateIsClean) {
+  // The waiter frees the gate the moment wait_idle() returns, while the
+  // leaving thread may still be inside leave(); TSan and ASan flag any
+  // touch of the gate after its unlock.
+  for (int round = 0; round < 200; ++round) {
+    auto gate = std::make_unique<common::InFlight>();
+    ASSERT_TRUE(gate->enter());
+    common::InFlight* raw = gate.get();
+    std::thread leaver([raw] { raw->leave(); });
+    gate->wait_idle();
+    gate.reset();
+    leaver.join();
+  }
 }
 
 // ------------------------------------------------------------- arrivals

@@ -14,6 +14,16 @@ TEST(U256, BasicConstruction) {
   EXPECT_FALSE(U256::max().fits_u64());
 }
 
+TEST(U256, StdHashValuesArePinned) {
+  // Iteration order of U256-keyed maps (PUSH-operand tables, account
+  // storage) follows these values; changing the limb mix moves it.
+  const std::hash<U256> hash;
+  EXPECT_EQ(hash(U256()), std::size_t{0x822b05d9b8fe0cd2ULL});
+  EXPECT_EQ(hash(U256(1, 2, 3, 4)), std::size_t{0x822b05d9b8e56a93ULL});
+  EXPECT_EQ(hash(U256(0xdeadbeef, 0, 0, 0x8000000000000000ULL)),
+            std::size_t{0x027abf1d860ae8e0ULL});
+}
+
 TEST(U256, FromStringDecimalAndHex) {
   EXPECT_EQ(U256::from_string("255"), U256(255));
   EXPECT_EQ(U256::from_string("0xff"), U256(255));
