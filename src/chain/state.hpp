@@ -5,10 +5,14 @@
 // call frame snapshots state, and a revert/failure in the callee rolls back
 // exactly that frame's writes — the behaviour the paper's phishing patterns
 // (approval sweeps behind a dispatcher) rely on.
+//
+// Accounts are hash-keyed (std::hash<evm::Address>): every code fetch on the
+// serving path is one find(), and nothing iterates the table. The container
+// is node-based, so the Account* from find() and the Account& from touch()
+// survive a rehash.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <unordered_map>
 #include <vector>
 
@@ -92,12 +96,12 @@ class State final : public evm::Host {
   bool account_exists(const Address& account) override;
 
  private:
-  using Snapshot = std::map<Address, Account>;
+  using Snapshot = std::unordered_map<Address, Account>;
 
   Snapshot snapshot() const { return accounts_; }
   void rollback(Snapshot snapshot) { accounts_ = std::move(snapshot); }
 
-  std::map<Address, Account> accounts_;
+  Snapshot accounts_;
   std::vector<evm::LogEntry> logs_;
   evm::BlockContext block_;
   evm::TraceSink* trace_ = nullptr;

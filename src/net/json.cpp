@@ -93,21 +93,21 @@ void JsonValue::dump_to(std::string& out) const {
       out += bool_ ? "true" : "false";
       return;
     case Type::kNumber: {
-      // Integral values (ids, counts) print without a fractional part so
-      // they round-trip; everything else gets enough digits to survive a
-      // parse-dump cycle.
-      if (std::isfinite(number_) && number_ == std::floor(number_) &&
-          std::fabs(number_) < 9.0e15) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%.0f", number_);
-        out += buf;
-      } else if (std::isfinite(number_)) {
-        char buf[40];
-        std::snprintf(buf, sizeof(buf), "%.17g", number_);
-        out += buf;
-      } else {
+      // Integral values (ids, counts) print as plain integers — no '.', no
+      // exponent, "-0" for negative zero, as "%.0f" would — so an id echo
+      // matches what the client sent; everything else prints the shortest
+      // text that parses back to the same double.
+      if (!std::isfinite(number_)) {
         out += "null";  // JSON has no inf/nan
+        return;
       }
+      char buf[32];
+      const std::to_chars_result written =
+          number_ == std::floor(number_) && std::fabs(number_) < 9.0e15
+              ? std::to_chars(buf, buf + sizeof(buf), number_,
+                              std::chars_format::fixed, 0)
+              : std::to_chars(buf, buf + sizeof(buf), number_);
+      out.append(buf, written.ptr);
       return;
     }
     case Type::kString:

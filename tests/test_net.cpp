@@ -14,14 +14,19 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <random>
 #include <span>
 #include <sstream>
 #include <string>
@@ -164,6 +169,52 @@ TEST(NetJson, ParseDumpRoundTripKeepsIntegralIds) {
   const auto again = net::JsonValue::parse(text, &error);
   ASSERT_TRUE(again.has_value()) << error;
   EXPECT_EQ(again->dump(), text);
+}
+
+// Every finite double survives dump -> parse bit for bit, and integral
+// values below the 9e15 cut print exactly as "%.0f" does: no '.', no
+// exponent, "-0" for negative zero.
+TEST(NetJson, DumpParseRoundTripsEveryFiniteDoubleBitForBit) {
+  std::vector<double> values = {
+      0.0, -0.0, 0.1, -0.1, 1.0 / 3.0, 2.0 / 3.0, 1.0, -1.0, 7.0, 0.5,
+      1e-7, 1e21, 123456.789,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min() / 3.0,
+      std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::max(),
+      -std::numeric_limits<double>::max(),
+      // Both sides of the integral cut at 9e15.
+      8999999999999999.0, -8999999999999999.0, 9e15, -9e15, 9e15 + 1.0,
+      4503599627370495.5, 9007199254740992.0, 9007199254740994.0};
+  std::mt19937_64 rng(20240917);
+  while (values.size() < 4000) {
+    const double x = std::bit_cast<double>(rng());
+    if (std::isfinite(x)) values.push_back(x);
+  }
+  for (int i = -1000; i <= 1000; ++i) values.push_back(i * 12345.0);
+
+  std::string error;
+  for (const double x : values) {
+    const std::string text = net::JsonValue::number(x).dump();
+    const auto doc = net::JsonValue::parse(text, &error);
+    ASSERT_TRUE(doc.has_value()) << text << ": " << error;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(doc->as_number()),
+              std::bit_cast<std::uint64_t>(x))
+        << text;
+    if (x == std::floor(x) && std::fabs(x) < 9e15) {
+      EXPECT_EQ(text.find_first_of(".eE"), std::string::npos) << text;
+      char expected[32];
+      std::snprintf(expected, sizeof(expected), "%.0f", x);
+      EXPECT_EQ(text, expected);
+    }
+  }
+  EXPECT_EQ(net::JsonValue::number(-0.0).dump(), "-0");
+  EXPECT_EQ(net::JsonValue::number(0.1).dump(), "0.1");
+  EXPECT_EQ(net::JsonValue::number(
+                std::numeric_limits<double>::infinity()).dump(),
+            "null");
+  EXPECT_EQ(net::JsonValue::number(std::nan("")).dump(), "null");
 }
 
 TEST(NetJson, RejectsTrailingGarbageAndControlChars) {
@@ -608,6 +659,10 @@ class FirstByteScorer final : public ml::Scorer {
   std::string name() const override { return "first-byte"; }
 };
 
+/// How long a test waits for something another thread owes it before it
+/// fails instead of hanging.
+constexpr std::chrono::seconds kWaitLimit{10};
+
 /// Explorer whose code fetch (get_code, the engine's path) can be held
 /// shut, so a test decides how long a row stays inside the engine.
 class GatedExplorer final : public chain::Explorer {
@@ -632,10 +687,11 @@ class GatedExplorer final : public chain::Explorer {
     }
     cv_.notify_all();
   }
-  /// Blocks until `n` fetches have reached the gate.
-  void wait_entered(std::size_t n) const {
+  /// Blocks until `n` fetches have reached the gate; false if they have
+  /// not within kWaitLimit.
+  bool wait_entered(std::size_t n) const {
     std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait(lock, [&] { return entered_ >= n; });
+    return cv_.wait_for(lock, kWaitLimit, [&] { return entered_ >= n; });
   }
 
  private:
@@ -783,18 +839,23 @@ TEST_F(RpcFrontendTest, EngineQueueShedShowsAsStatusShed) {
   send_all(held, "POST / HTTP/1.1\r\nHost: x\r\nContent-Length: " +
                      std::to_string(held_body.size()) +
                      "\r\nConnection: close\r\n\r\n" + held_body);
-  explorer_.wait_entered(1);
+  ASSERT_TRUE(explorer_.wait_entered(1))
+      << "the held row never reached the explorer";
   // ...so of the next three rows two fill the queue and the third is shed
   // on admission.
   std::string batch;
   std::thread client([&] { batch = rpc_post(port(), batch_body(3)); });
-  while (engine_->metrics().requests_shed.value() == 0) {
+  const auto give_up = std::chrono::steady_clock::now() + kWaitLimit;
+  while (engine_->metrics().requests_shed.value() == 0 &&
+         std::chrono::steady_clock::now() < give_up) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   explorer_.open();
   client.join();
   const std::string held_response = recv_to_eof(held);
   ::close(held);
+  ASSERT_GT(engine_->metrics().requests_shed.value(), 0u)
+      << "no row was shed within " << kWaitLimit.count() << " s";
 
   const net::JsonValue doc = json_body(batch);
   ASSERT_NE(doc.find("result"), nullptr) << batch;
@@ -877,7 +938,8 @@ TEST_F(RpcFrontendTest, StopReturnsOnlyAfterTheInFlightResponseIsWritten) {
   send_all(fd, "POST / HTTP/1.1\r\nHost: x\r\nContent-Length: " +
                    std::to_string(body.size()) +
                    "\r\nConnection: close\r\n\r\n" + body);
-  explorer_.wait_entered(1);
+  ASSERT_TRUE(explorer_.wait_entered(1))
+      << "the row never reached the explorer";
 
   std::atomic<bool> stopped{false};
   std::thread stopper([&] {

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
+#include <future>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -643,7 +645,11 @@ TEST_F(ScoringEngineTest, SubmitAfterShutdownIsRefused) {
   serve::EngineConfig config;
   config.workers = 2;
   serve::ScoringEngine engine(*dataset().explorer, *adapter_, config);
-  submit_future(engine, addresses_.front()).get();
+  constexpr std::chrono::seconds kWaitLimit{10};
+  auto first = submit_future(engine, addresses_.front());
+  ASSERT_EQ(first.wait_for(kWaitLimit), std::future_status::ready)
+      << "the first request did not complete within 10 s";
+  first.get();
   engine.shutdown();
   engine.shutdown();  // idempotent
   bool ran = false;
